@@ -23,7 +23,9 @@ using Time = std::int32_t;
 class Instance {
  public:
   /// `pt` is job-major: pt(j, k) = processing time of job j on machine k.
-  /// Throws CheckFailure on empty dimensions or negative times.
+  /// Throws CheckFailure on empty dimensions, negative times, or times
+  /// whose total exceeds Time's range (every makespan is at most the
+  /// total, so this keeps schedule arithmetic free of overflow).
   Instance(std::string name, Matrix<Time> pt);
 
   int jobs() const { return static_cast<int>(pt_.rows()); }

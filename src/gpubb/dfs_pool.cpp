@@ -133,10 +133,11 @@ void DeviceDfsPool::run_subtrees(fsp::Time ub,
   io.h2d_bytes = roots.size() * (static_cast<std::size_t>(n) + 2 + 4) + 4 + 8;
 
   // --- shared launch state ------------------------------------------------
-  // The grid's blocks are driven one at a time below and the simulator
-  // executes a block's lanes strictly sequentially (gpusim/kernel.cpp), so
-  // plain host captures model the device-shared incumbent/quota words and
-  // replicate the serial exploration order across the whole grid.
+  // The grid's blocks are driven one at a time below through
+  // SimDevice::launch_in_order, which runs a launch's lanes in global
+  // order on the calling thread, so plain host captures model the
+  // device-shared incumbent/quota words and replicate the serial
+  // exploration order across the whole grid.
   fsp::Time best = ub;
   core::DfsLaunchStats st;
   std::vector<core::DfsIncumbentEvent> events;
@@ -553,7 +554,8 @@ void DeviceDfsPool::run_subtrees(fsp::Time ub,
     config.grid_blocks = 1;
     config.block_threads = static_cast<int>(
         std::min(bt, (roots.size() - b * bt + 31) / 32 * 32));
-    const gpusim::KernelRun run = device_->launch(config, body, prologue);
+    const gpusim::KernelRun run =
+        device_->launch_in_order(config, body, prologue);
     io.run.counters += run.counters;
     io.run.threads_executed += run.threads_executed;
     io.run.blocks_executed += run.blocks_executed;

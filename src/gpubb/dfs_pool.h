@@ -34,19 +34,19 @@
 //                  (the raw-speed half of this mode's win; the other
 //                  half is eliminating the per-level launch+transfer).
 //
-// Bit-identity with cpu-serial (batch_size 1, depth-first): the simulator
-// runs a block's threads strictly in lane order (gpusim/kernel.cpp), and
-// this pool drives its grid one block at a time in block order (the same
-// executed-vs-priced split as launch_sampled: the timing model sees the
-// whole grid, the functional execution stays sequential), so lanes explore
-// their subtrees sequentially against one shared incumbent — exactly the
-// order a serial engine pops a LIFO stack that happens to hold the lanes'
-// roots top-first. Every elimination (pop-time lazy,
-// insert-time) fires at the same point with the same bound, so EngineStats
-// and the incumbent stream match counter-for-counter — fuzzed in
-// GpuDfsVsSerialFuzz. A real device would relax this to monotone-but-
-// reordered incumbents; the simulator's determinism is what lets the fuzz
-// pin the stronger property.
+// Bit-identity with cpu-serial (batch_size 1, depth-first): the pool runs
+// its lanes through SimDevice::launch_in_order, which executes them
+// strictly in lane order on one host thread, and drives its grid one
+// block at a time in block order (the same executed-vs-priced split as
+// launch_sampled: the timing model sees the whole grid, the functional
+// execution stays sequential), so lanes explore their subtrees
+// sequentially against one shared incumbent — exactly the order a serial
+// engine pops a LIFO stack that happens to hold the lanes' roots
+// top-first. Every elimination (pop-time lazy, insert-time) fires at the
+// same point with the same bound, so EngineStats and the incumbent stream
+// match counter-for-counter — fuzzed in GpuDfsVsSerialFuzz. A real device
+// would relax this to monotone-but-reordered incumbents; the simulator's
+// determinism is what lets the fuzz pin the stronger property.
 #pragma once
 
 #include <cstdint>

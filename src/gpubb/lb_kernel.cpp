@@ -92,6 +92,19 @@ gpusim::KernelResources lb1_kernel_resources(const DeviceLbData& data,
   return r;
 }
 
+void charge_lb1_sweep(gpusim::ThreadCtx& ctx, const DeviceLbData& d,
+                      int free_jobs) {
+  const auto p = static_cast<std::uint64_t>(d.pairs());
+  const auto n = static_cast<std::uint64_t>(d.jobs());
+  const auto f = static_cast<std::uint64_t>(free_jobs);
+  ctx.add_loads(d.mm().space, 2 * p);
+  ctx.add_loads(d.rm().space, 2 * p);
+  ctx.add_loads(d.jm().space, n * p);
+  ctx.add_loads(d.ptm().space, 2 * f * p);
+  ctx.add_loads(d.lm().space, f * p);
+  ctx.add_loads(d.qm().space, p);
+}
+
 gpusim::KernelRun launch_lb1_kernel(gpusim::SimDevice& device,
                                     const DeviceLbData& data, DevicePool& pool,
                                     int block_threads,
@@ -109,11 +122,13 @@ gpusim::KernelRun launch_lb1_kernel(gpusim::SimDevice& device,
   const auto depths = pool.depths.view();
   const auto lbs = pool.lbs.mut_view();
   const DeviceLbData* d = &data;
+  const RawLb1Provider tables(data);
   const int n = data.jobs();
   const int m = data.machines();
   const int count = pool.count;
 
-  auto body = [d, perms, depths, lbs, n, m, count](gpusim::ThreadCtx& ctx) {
+  auto body = [d, tables, perms, depths, lbs, n, m,
+               count](gpusim::ThreadCtx& ctx) {
     const std::int64_t idx = ctx.global_idx();
     if (idx >= count) return;
 
@@ -129,7 +144,7 @@ gpusim::KernelRun launch_lb1_kernel(gpusim::SimDevice& device,
 
     const std::size_t perm_base = static_cast<std::size_t>(idx) *
                                   static_cast<std::size_t>(n);
-    auto provider = DeviceLb1Provider(ctx, *d);
+    auto counted = DeviceLb1Provider(ctx, *d);
     for (int pos = 0; pos < depth; ++pos) {
       const auto job = static_cast<int>(
           ctx.ld(perms, perm_base + static_cast<std::size_t>(pos)));
@@ -138,7 +153,7 @@ gpusim::KernelRun launch_lb1_kernel(gpusim::SimDevice& device,
       fsp::Time prev = 0;
       for (int k = 0; k < m; ++k) {
         const fsp::Time start = std::max(prev, fronts[k]);
-        prev = start + provider.ptm(job, k);
+        prev = start + counted.ptm(job, k);
         fronts[k] = prev;
       }
       ctx.add_loads(gpusim::MemSpace::kLocal, static_cast<std::uint64_t>(m));
@@ -148,8 +163,9 @@ gpusim::KernelRun launch_lb1_kernel(gpusim::SimDevice& device,
 
     // --- the LB1 sweep itself (shared with the CPU path) ----------------
     const fsp::Time lb = fsp::lb1_evaluate(
-        provider, std::span<const fsp::Time>(fronts, static_cast<std::size_t>(m)),
+        tables, std::span<const fsp::Time>(fronts, static_cast<std::size_t>(m)),
         std::span<const std::uint8_t>(scheduled, static_cast<std::size_t>(n)));
+    charge_lb1_sweep(ctx, *d, n - depth);
 
     // Scratch reads inside the sweep (fronts twice per pair, the scheduled
     // mask once per Johnson entry) plus the comparison/accumulate ALU work.

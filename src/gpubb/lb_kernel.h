@@ -91,10 +91,11 @@ struct DevicePool {
   static DevicePool upload(gpusim::SimDevice& device, const PackedPool& pool);
 };
 
-/// lb1_evaluate provider that reads the packed device tables through the
-/// counting ThreadCtx — shared by the flat repack kernel and the resident
-/// branch+bound kernel (gpubb/resident_pool.h). Widening casts reproduce
-/// exactly the host values.
+/// Counted accessors over the packed device tables: every read goes through
+/// the ThreadCtx and is charged to its table's placed memory space. The
+/// kernels use it for the table reads outside the LB1 sweep (prefix replay,
+/// the DFS lanes' per-couple caches and row gathers). Widening casts
+/// reproduce exactly the host values.
 class DeviceLb1Provider {
  public:
   DeviceLb1Provider(gpusim::ThreadCtx& ctx, const DeviceLbData& d)
@@ -136,6 +137,57 @@ class DeviceLb1Provider {
   gpusim::ThreadCtx* ctx_;
   const DeviceLbData* d_;
 };
+
+/// lb1_evaluate provider over the packed device tables' storage, shared by
+/// the flat repack kernel and the resident branch+bound kernel
+/// (gpubb/resident_pool.h). It counts nothing: the kernels run the sweep
+/// through it and then charge the sweep's table loads in closed form with
+/// charge_lb1_sweep. Widening casts reproduce exactly the host values.
+class RawLb1Provider {
+ public:
+  explicit RawLb1Provider(const DeviceLbData& d)
+      : jobs_(d.jobs()), machines_(d.machines()), pairs_(d.pairs()),
+        ptm_(d.ptm().data), lm_(d.lm().data), jm_(d.jm().data),
+        rm_(d.rm().data), qm_(d.qm().data), mm_(d.mm().data) {}
+
+  int jobs() const { return jobs_; }
+  int machines() const { return machines_; }
+  int pairs() const { return pairs_; }
+
+  fsp::JobId jm(int pair, int pos) const {
+    return static_cast<fsp::JobId>(jm_[pair * jobs_ + pos]);
+  }
+  fsp::Time lm(int job, int pair) const {
+    return static_cast<fsp::Time>(lm_[job * pairs_ + pair]);
+  }
+  fsp::Time ptm(int job, int machine) const {
+    return static_cast<fsp::Time>(ptm_[job * machines_ + machine]);
+  }
+  fsp::Time rm(int machine) const { return rm_[machine]; }
+  fsp::Time qm(int machine) const { return qm_[machine]; }
+  int mm_k(int pair) const { return mm_[2 * pair]; }
+  int mm_l(int pair) const { return mm_[2 * pair + 1]; }
+
+ private:
+  int jobs_;
+  int machines_;
+  int pairs_;
+  const std::uint8_t* ptm_;
+  const std::uint16_t* lm_;
+  const std::uint8_t* jm_;
+  const std::int32_t* rm_;
+  const std::int32_t* qm_;
+  const std::int16_t* mm_;
+};
+
+/// Charges `ctx` the table loads one lb1_evaluate sweep performs on a node
+/// with `free_jobs` unscheduled jobs, each in its table's placed memory
+/// space. Per machine couple the sweep reads mm twice, rm twice, the whole
+/// Johnson row (n jm entries) and qm once, plus ptm twice and lm once per
+/// unscheduled job — with p couples and f free jobs: mm 2p, rm 2p, jm n*p,
+/// ptm 2*f*p, lm f*p, qm p. Exactly what counting every access records.
+void charge_lb1_sweep(gpusim::ThreadCtx& ctx, const DeviceLbData& d,
+                      int free_jobs);
 
 /// Hard caps of the packed kernels' per-thread scratch (local memory).
 inline constexpr int kKernelMaxJobs = 256;

@@ -302,13 +302,14 @@ void DeviceResidentPool::iterate(fsp::Time ub,
   const auto mv_scr_fronts = scratch_fronts_.mut_view();
   const auto mv_scr_lbs = scratch_lbs_.mut_view();
   const DeviceLbData* data = data_;
+  const RawLb1Provider tables(*data_);
   const auto parent_count = static_cast<std::int64_t>(parents);
   const auto child_count = static_cast<std::int64_t>(children);
 
   auto body = [=](gpusim::ThreadCtx& ctx) {
     const std::int64_t idx = ctx.global_idx();
     if (idx >= child_count) return;
-    auto provider = DeviceLb1Provider(ctx, *data);
+    auto counted = DeviceLb1Provider(ctx, *data);
 
     // --- locate this child's group: binary search over first_child ------
     std::int64_t lo = 0, hi = parent_count - 1;
@@ -392,7 +393,7 @@ void DeviceResidentPool::iterate(fsp::Time ub,
         fsp::Time prev = 0;
         for (int k = 0; k < m; ++k) {
           const fsp::Time start = std::max(prev, fronts[k]);
-          prev = start + provider.ptm(job, k);
+          prev = start + counted.ptm(job, k);
           fronts[k] = prev;
         }
         ctx.add_loads(gpusim::MemSpace::kLocal, static_cast<std::uint64_t>(m));
@@ -406,7 +407,7 @@ void DeviceResidentPool::iterate(fsp::Time ub,
       fsp::Time prev = 0;
       for (int k = 0; k < m; ++k) {
         const fsp::Time start = std::max(prev, fronts[k]);
-        prev = start + provider.ptm(static_cast<int>(child_job), k);
+        prev = start + counted.ptm(static_cast<int>(child_job), k);
         fronts[k] = prev;
       }
       ctx.add_loads(gpusim::MemSpace::kLocal, static_cast<std::uint64_t>(m));
@@ -431,9 +432,10 @@ void DeviceResidentPool::iterate(fsp::Time ub,
 
     // --- bound: the shared LB1 sweep ------------------------------------
     const fsp::Time lb = fsp::lb1_evaluate(
-        provider,
+        tables,
         std::span<const fsp::Time>(fronts, static_cast<std::size_t>(m)),
         std::span<const std::uint8_t>(scheduled, static_cast<std::size_t>(n)));
+    charge_lb1_sweep(ctx, *data, n - depth - 1);
     const auto pairs = static_cast<std::uint64_t>(data->pairs());
     ctx.add_loads(gpusim::MemSpace::kLocal,
                   pairs * (2 + static_cast<std::uint64_t>(n)));

@@ -2,12 +2,26 @@
 //
 // A kernel is a C++ callable invoked once per simulated thread with a
 // ThreadCtx that identifies the thread and counts its memory traffic.
-// Blocks are distributed over a host thread pool; per-worker counters are
-// reduced afterwards, so execution is deterministic and lock-free.
 //
-// Two modes:
-//   * launch()          — every logical thread runs (functional results are
-//                         complete; engines use this).
+// Execution contract:
+//   * launch() / launch_sampled() fan a grid out over a host thread pool
+//     one WARP at a time: the (block, warp) units of a launch — including
+//     the warps of a single block — run concurrently on different host
+//     threads. One warp's lanes always run in lane order on one host
+//     thread, which is what makes the per-warp lockstep-divergence maximum
+//     exact. A block's prologue runs on the thread that runs its warp 0,
+//     just before that warp. Kernel bodies must therefore only write
+//     per-thread outputs (as a real CUDA kernel without atomics would).
+//   * launch_in_order() runs every lane of the grid in global thread order
+//     on the calling thread. It is for kernels that model device-shared
+//     words (an incumbent, a work quota) with plain host captures and
+//     whose results depend on lanes observing each other in order.
+// Counters are kept per host worker and reduced afterwards, so every
+// KernelRun is deterministic and independent of the pool size.
+//
+// Two grid extents:
+//   * launch() / launch_in_order() — every logical thread runs (functional
+//                         results are complete; engines use these).
 //   * launch_sampled()  — only a prefix of the blocks runs; counters are
 //                         per-executed-thread averages for the timing model.
 //                         Outputs for non-executed threads are untouched.
@@ -166,9 +180,14 @@ class SimDevice {
     return allocated_bytes_->load(std::memory_order_relaxed);
   }
 
-  /// Runs every thread of the grid.
+  /// Runs every thread of the grid, warps concurrently.
   KernelRun launch(const LaunchConfig& config, const KernelBody& body,
                    const BlockPrologue& prologue = nullptr);
+
+  /// Runs every thread of the grid on the calling thread, in global thread
+  /// order (block by block, lane by lane). Counters equal launch()'s.
+  KernelRun launch_in_order(const LaunchConfig& config, const KernelBody& body,
+                            const BlockPrologue& prologue = nullptr);
 
   /// Runs only the first blocks covering at most `max_threads` threads
   /// (at least one block). Counters then describe a sample.
@@ -178,7 +197,8 @@ class SimDevice {
 
  private:
   KernelRun run_blocks(const LaunchConfig& config, int blocks_to_run,
-                       const KernelBody& body, const BlockPrologue& prologue);
+                       const KernelBody& body, const BlockPrologue& prologue,
+                       bool in_order);
 
   DeviceSpec spec_;
   ThreadPool* pool_;

@@ -1,9 +1,12 @@
 #include "serve/server.h"
 
 #include <chrono>
+#include <cstdint>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -66,7 +69,12 @@ fsp::Instance instance_from_json(const JsonValue& value) {
     FSBB_CHECK_MSG(row.size() == machines,
                    "\"ptm\" rows must all have the same machine count");
     for (std::size_t k = 0; k < machines; ++k) {
-      pt(j, k) = static_cast<fsp::Time>(row[k].as_int());
+      const std::int64_t t = row[k].as_int();
+      FSBB_CHECK_MSG(t >= 0 && t <= std::numeric_limits<fsp::Time>::max(),
+                     "\"ptm\" entries must be integers in [0, " +
+                         std::to_string(std::numeric_limits<fsp::Time>::max()) +
+                         "], got " + std::to_string(t));
+      pt(j, k) = static_cast<fsp::Time>(t);
     }
   }
   return fsp::Instance(value.string_or("name", "wire-instance"),

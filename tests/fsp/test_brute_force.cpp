@@ -33,10 +33,16 @@ TEST(BruteForce, EvaluatesFactoriallyManySchedules) {
 }
 
 TEST(BruteForce, GuardsAgainstLargeInstances) {
+  // Above the default limit: refused before enumerating anything.
   Matrix<Time> pt(12, 2, 1);
   const Instance inst("12x2", std::move(pt));
   EXPECT_THROW(brute_force(inst), CheckFailure);
-  EXPECT_NO_THROW(brute_force(inst, /*max_jobs=*/12));
+  // The limit is what guards: a 5-job instance throws under a 4-job limit
+  // and runs (5! schedules) once the limit is raised to cover it.
+  Matrix<Time> small_pt(5, 2, 1);
+  const Instance small("5x2", std::move(small_pt));
+  EXPECT_THROW(brute_force(small, /*max_jobs=*/4), CheckFailure);
+  EXPECT_NO_THROW(brute_force(small, /*max_jobs=*/5));
 }
 
 TEST(BruteForceCompletion, RespectsThePrefix) {

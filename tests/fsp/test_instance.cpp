@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "common/check.h"
 
 namespace fsbb::fsp {
@@ -43,6 +46,24 @@ TEST(Instance, RejectsNegativeTimes) {
   Matrix<Time> pt(2, 2, 1);
   pt(1, 1) = -1;
   EXPECT_THROW(Instance("bad", std::move(pt)), CheckFailure);
+}
+
+TEST(Instance, RejectsTimesWhoseTotalOverflowsTime) {
+  // 3x2 of 10^9: every makespan of it would overflow Time.
+  Matrix<Time> pt(3, 2, 1000000000);
+  try {
+    const Instance inst("huge", std::move(pt));
+    FAIL() << "accepted total work " << inst.total_work();
+  } catch (const CheckFailure& e) {
+    EXPECT_NE(std::string(e.what()).find("2147483647"), std::string::npos)
+        << e.what();
+  }
+  // A total of exactly the limit still fits.
+  Matrix<Time> edge(1, 2, 0);
+  edge(0, 0) = std::numeric_limits<Time>::max() - 5;
+  edge(0, 1) = 5;
+  EXPECT_EQ(Instance("edge", std::move(edge)).total_work(),
+            std::numeric_limits<Time>::max());
 }
 
 TEST(Instance, ZeroTimesAreAllowed) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -102,20 +104,98 @@ TEST(Kernel, SampledLaunchAlwaysRunsAtLeastOneBlock) {
   EXPECT_EQ(run.blocks_executed, 1);
 }
 
+/// Every KernelRun field that a launch's scheduling could disturb.
+std::vector<std::uint64_t> run_fields(const KernelRun& run) {
+  std::vector<std::uint64_t> f;
+  for (const SpaceCounters& s : run.counters.space) {
+    f.push_back(s.loads);
+    f.push_back(s.stores);
+  }
+  f.push_back(run.counters.arithmetic_ops);
+  f.push_back(run.work_units_sum);
+  f.push_back(run.work_units_warp_max);
+  f.push_back(static_cast<std::uint64_t>(run.threads_executed));
+  f.push_back(static_cast<std::uint64_t>(run.blocks_executed));
+  return f;
+}
+
 TEST(Kernel, DeterministicAcrossPoolSizes) {
-  auto run_with = [](std::size_t host_threads) {
-    ThreadPool pool(host_threads);
-    SimDevice dev(DeviceSpec::tesla_c2050(), &pool);
-    auto out = dev.alloc<std::int64_t>(2048, MemSpace::kGlobal);
-    const auto view = out.mut_view();
-    dev.launch(LaunchConfig{8, 256}, [&](ThreadCtx& ctx) {
-      const auto i = static_cast<std::size_t>(ctx.global_idx());
-      ctx.st(view, i, static_cast<std::int64_t>(i * i % 977));
-    });
-    return std::vector<std::int64_t>(out.host_span().begin(),
-                                     out.host_span().end());
+  // Eight blocks, and one 1024-thread block whose 32 warps run
+  // concurrently: lane work varies within every warp, so the divergence
+  // maximum is only exact if each warp's lanes stay together.
+  for (const LaunchConfig config :
+       {LaunchConfig{8, 256}, LaunchConfig{1, 1024}}) {
+    auto run_with = [&](std::size_t host_threads) {
+      ThreadPool pool(host_threads);
+      SimDevice dev(DeviceSpec::tesla_c2050(), &pool);
+      auto out = dev.alloc<std::int64_t>(
+          static_cast<std::size_t>(config.total_threads()), MemSpace::kGlobal);
+      const auto view = out.mut_view();
+      const KernelRun run = dev.launch(
+          config,
+          [&](ThreadCtx& ctx) {
+            const auto i = static_cast<std::size_t>(ctx.global_idx());
+            ctx.add_ops(i * 7 % 61);
+            ctx.add_loads(MemSpace::kShared, i % 5);
+            ctx.st(view, i, static_cast<std::int64_t>(i * i % 977));
+          },
+          [](int block, AccessCounters& counters) {
+            counters.add_load(MemSpace::kGlobal,
+                              static_cast<std::uint64_t>(block) + 3);
+          });
+      return std::make_pair(std::vector<std::int64_t>(out.host_span().begin(),
+                                                      out.host_span().end()),
+                            run_fields(run));
+    };
+    const auto one = run_with(1);
+    const auto seven = run_with(7);
+    EXPECT_EQ(one.first, seven.first) << config.grid_blocks;
+    EXPECT_EQ(one.second, seven.second) << config.grid_blocks;
+  }
+}
+
+TEST(Kernel, LaunchInOrderVisitsLanesInGlobalOrder) {
+  ThreadPool pool(3);
+  SimDevice dev(DeviceSpec::tesla_c2050(), &pool);
+  const LaunchConfig config{3, 96};
+  const auto caller = std::this_thread::get_id();
+  // Plain captures, no synchronization: launch_in_order runs every lane
+  // and prologue on the calling thread. -1 - b marks block b's prologue.
+  std::vector<std::int64_t> visits;
+  bool off_thread = false;
+  auto body = [&](ThreadCtx& ctx) {
+    off_thread |= std::this_thread::get_id() != caller;
+    visits.push_back(ctx.global_idx());
+    ctx.add_ops(static_cast<std::uint64_t>(ctx.thread_idx() % 7));
   };
-  EXPECT_EQ(run_with(1), run_with(7));
+  auto prologue = [&](int block, AccessCounters& counters) {
+    off_thread |= std::this_thread::get_id() != caller;
+    visits.push_back(-1 - block);
+    counters.add_load(MemSpace::kGlobal, 10);
+  };
+  const KernelRun in_order = dev.launch_in_order(config, body, prologue);
+  EXPECT_FALSE(off_thread);
+
+  std::vector<std::int64_t> expected;
+  for (int b = 0; b < config.grid_blocks; ++b) {
+    expected.push_back(-1 - b);
+    for (int t = 0; t < config.block_threads; ++t) {
+      expected.push_back(static_cast<std::int64_t>(b) * config.block_threads +
+                         t);
+    }
+  }
+  EXPECT_EQ(visits, expected);
+
+  // Same counters as the concurrent launch of the same grid.
+  const KernelRun concurrent = dev.launch(
+      config,
+      [](ThreadCtx& ctx) {
+        ctx.add_ops(static_cast<std::uint64_t>(ctx.thread_idx() % 7));
+      },
+      [](int, AccessCounters& counters) {
+        counters.add_load(MemSpace::kGlobal, 10);
+      });
+  EXPECT_EQ(run_fields(in_order), run_fields(concurrent));
 }
 
 TEST(Kernel, InvalidConfigsThrow) {

@@ -145,6 +145,32 @@ TEST(ServeClient, MalformedExplicitInstanceRejects) {
   out.wait_for("same machine count");
 }
 
+TEST(ServeClient, OutOfRangeWireTimesReject) {
+  Server server(small_options());
+  LineCollector out;
+  auto client = std::make_shared<Client>(server, out.sink());
+  // 2^32 + 3 would narrow to 3 if the wire value were cast unchecked.
+  client->handle_line(
+      R"({"op":"submit","id":"w4","cli":"","instance":)"
+      R"({"ptm":[[4294967299,1],[2,2]]}})");
+  const JsonValue wide = JsonValue::parse(out.wait_for("got 4294967299"));
+  EXPECT_EQ(wide.string_or("event", ""), "rejected");
+  EXPECT_EQ(wide.string_or("id", ""), "w4");
+  client->handle_line(
+      R"({"op":"submit","id":"w5","cli":"","instance":{"ptm":[[-1,1]]}})");
+  out.wait_for("got -1");
+  // In range one by one, but the total overflows Time: the instance
+  // itself refuses it.
+  client->handle_line(
+      R"({"op":"submit","id":"w6","cli":"","instance":)"
+      R"({"ptm":[[1000000000,1000000000],[1000000000,1000000000],)"
+      R"([1000000000,1000000000]]}})");
+  out.wait_for("exceeds the Time limit");
+  for (const std::string& line : out.snapshot()) {
+    EXPECT_EQ(line.find("\"event\":\"accepted\""), std::string::npos) << line;
+  }
+}
+
 TEST(ServeClient, MetricsOpReturnsFullRegistry) {
   Server server(small_options());
   LineCollector out;

@@ -6,6 +6,7 @@
 // --progress work uniformly across every backend. Extra switches on top of
 // the config:
 //
+//   --help              print usage and the accepted flags, then exit
 //   --list-backends     print the registry and exit
 //   --all               run every registered backend on the same instance(s)
 //   --json              emit one JSON report per line instead of text
@@ -74,10 +75,27 @@ void print_progress(const fsbb::api::ProgressEvent& event) {
   std::cerr << line.str() << "\n";
 }
 
+/// Usage and the accepted flags (on stdout for --help, stderr on errors).
+void print_usage(std::ostream& out) {
+  out << "usage: fsbb_solve [flags]\n\nflags: ";
+  for (const std::string& f : fsbb::api::SolverConfig::cli_flags()) {
+    out << "--" << f << " ";
+  }
+  out << "--list-backends --all --json --progress --frozen --help\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace fsbb;
+
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      print_usage(std::cout);
+      return 0;
+    }
+  }
 
   api::SolverConfig config;
   CliArgs args;
@@ -88,11 +106,8 @@ int main(int argc, char** argv) {
                           {"list-backends", "all", "json", "progress"});
     config = api::SolverConfig::from_cli(args);
   } catch (const std::exception& e) {
-    std::cerr << e.what() << "\n\nflags: ";
-    for (const std::string& f : api::SolverConfig::cli_flags()) {
-      std::cerr << "--" << f << " ";
-    }
-    std::cerr << "--list-backends --all --json --progress --frozen\n";
+    std::cerr << e.what() << "\n\n";
+    print_usage(std::cerr);
     return 1;
   }
 
