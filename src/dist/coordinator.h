@@ -39,8 +39,8 @@
 #include "api/solver_config.h"
 #include "dist/incumbent_bus.h"
 #include "dist/process.h"
-#include "dist/transport.h"
 #include "fsp/instance.h"
+#include "serve/line_io.h"
 
 namespace fsbb::dist {
 
@@ -88,9 +88,14 @@ class Coordinator {
   const DistSummary& summary() const { return summary_; }
 
  private:
+  /// Worker stdout is trusted and a checkpoint line carries a whole
+  /// sub-pool, so the coordinator reads it without a length cap: no line
+  /// is ever dropped as oversized.
+  static constexpr std::size_t kUncappedLine = SIZE_MAX;
+
   struct Slot {
     Subprocess proc;
-    LineReader reader;
+    serve::BoundedLineReader reader{kUncappedLine};
     bool alive = false;
     bool eof = false;
     bool busy = false;

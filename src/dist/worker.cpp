@@ -21,8 +21,8 @@
 #include "common/mutex.h"
 #include "core/pool_io.h"
 #include "core/search_control.h"
-#include "dist/transport.h"
 #include "fsp/lb_data.h"
+#include "serve/line_io.h"
 
 namespace fsbb::dist {
 namespace {
@@ -140,7 +140,7 @@ int Worker::run() {
   out_.line("{\"event\":\"ready\"}");
   std::string line;
   while (std::getline(in_, line)) {
-    if (!normalize_transport_line(line)) continue;
+    if (!serve::normalize_transport_line(line)) continue;
     JsonValue request;
     try {
       request = JsonValue::parse(line);

@@ -23,9 +23,11 @@ using Time = std::int32_t;
 class Instance {
  public:
   /// `pt` is job-major: pt(j, k) = processing time of job j on machine k.
-  /// Throws CheckFailure on empty dimensions, negative times, or times
-  /// whose total exceeds Time's range (every makespan is at most the
-  /// total, so this keeps schedule arithmetic free of overflow).
+  /// Throws CheckFailure on empty dimensions, more than 32767 jobs or
+  /// machines (JobId and the machine-couple indices are int16), negative
+  /// times, or times whose total exceeds Time's range (every makespan is
+  /// at most the total, so this keeps schedule arithmetic free of
+  /// overflow).
   Instance(std::string name, Matrix<Time> pt);
 
   int jobs() const { return static_cast<int>(pt_.rows()); }

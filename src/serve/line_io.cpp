@@ -4,9 +4,13 @@
 #include <limits>
 
 #include "common/check.h"
-#include "dist/transport.h"
 
 namespace fsbb::serve {
+
+bool normalize_transport_line(std::string& line) {
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return line.find_first_not_of(" \t") != std::string::npos;
+}
 
 BoundedLineReader::BoundedLineReader(std::size_t max_line_bytes)
     : max_(max_line_bytes) {
@@ -37,7 +41,7 @@ std::vector<BoundedLineReader::Line> BoundedLineReader::feed(
       if (nl != nullptr) {
         std::string line = std::move(buffer_);
         buffer_.clear();
-        if (dist::normalize_transport_line(line)) {
+        if (normalize_transport_line(line)) {
           out.push_back(Line{std::move(line), false});
         }
       }

@@ -1,4 +1,5 @@
-// Bounded line reading for the serving front ends.
+// NDJSON line reading for every front end, bounded where the peer is
+// untrusted.
 //
 // The NDJSON protocol is line-oriented, and "one request per line" is an
 // invitation for a malformed (or malicious) client to stream gigabytes
@@ -9,6 +10,10 @@
 // marker, so the front end can answer with a structured error instead of
 // dying. The connection stays usable — the next well-behaved line parses
 // normally.
+//
+// Every NDJSON front end reads through this header: fsbb_serve's stdio
+// loop and socket sessions, the distributed worker's stdin, and the
+// coordinator's per-worker stdout pipes (uncapped: it trusts its workers).
 #pragma once
 
 #include <cstddef>
@@ -18,11 +23,20 @@
 
 namespace fsbb::serve {
 
-/// Incremental bounded splitter for a byte stream (the socket sessions).
-/// Like dist::LineReader, but a line whose length exceeds the cap is
-/// dropped and reported instead of buffered without limit: the reader
-/// holds at most max_line_bytes + one read chunk in memory, whatever the
-/// peer sends.
+/// Normalizes one just-read transport line in place: strips one trailing
+/// '\r' (CRLF clients such as netcat -C, telnet and Windows pipes).
+/// Returns false when the rest is empty or whitespace-only — an
+/// interactive client's blank keep-alive line, which the caller must skip
+/// instead of handing it to the JSON parser.
+bool normalize_transport_line(std::string& line);
+
+/// Incremental bounded splitter for a byte stream: the socket sessions
+/// and the coordinator's per-worker stdout pipes. Feed read() chunks in,
+/// take completed lines out; a poll() wakeup that delivers half a line
+/// just buffers until the '\n' arrives. A line whose length exceeds the
+/// cap is dropped and reported instead of buffered without limit: the
+/// reader holds at most max_line_bytes + one read chunk in memory,
+/// whatever the peer sends. A trusted stream passes SIZE_MAX (no cap).
 class BoundedLineReader {
  public:
   struct Line {
@@ -40,7 +54,7 @@ class BoundedLineReader {
   std::size_t pending() const { return buffer_.size(); }
 
  private:
-  const std::size_t max_;
+  std::size_t max_;
   std::string buffer_;
   /// True while skipping the remainder of an oversized line.
   bool discarding_ = false;

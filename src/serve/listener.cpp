@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -22,7 +23,11 @@ constexpr int kPollTickMs = 200;
 /// Mutex-serialized line writer over one socket fd. Owns the fd; close()
 /// (or destruction) releases it, after which writes become no-ops — so a
 /// Client sink can safely outlive its session. MSG_NOSIGNAL keeps a peer
-/// that hung up from killing the process with SIGPIPE.
+/// that hung up from killing the process with SIGPIPE. Each frame leaves
+/// in one send() of json + '\n', which is what makes TCP_NODELAY
+/// (configure_session_socket) safe: with Nagle off a frame still goes out
+/// whole, not as a trickle of tiny segments; only the wait for the peer's
+/// ACK of the previous frame goes away.
 class SocketWriter {
  public:
   explicit SocketWriter(int fd) : fd_(fd) {}
@@ -66,6 +71,11 @@ class SocketWriter {
 };
 
 }  // namespace
+
+bool configure_session_socket(int fd) {
+  const int one = 1;
+  return ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) == 0;
+}
 
 struct Listener::Session {
   std::shared_ptr<Client> client;
@@ -156,6 +166,11 @@ void Listener::serve() {
     }
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) continue;
+    // A socket that refuses a plain TCP option is already dead.
+    if (!configure_session_socket(fd)) {
+      ::close(fd);
+      continue;
+    }
 
     const LockGuard lock(mu_);
     reap_locked();

@@ -1,13 +1,16 @@
-// NDJSON transport line handling: CRLF stripping, blank-line skipping and
-// the incremental LineReader the coordinator runs per worker stdout.
-#include "dist/transport.h"
-
+// NDJSON transport line handling as the dist layer uses it: CRLF
+// stripping, blank-line skipping and the incremental line reader the
+// coordinator runs per worker stdout (BoundedLineReader without a
+// cap).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
-namespace fsbb::dist {
+#include "serve/line_io.h"
+
+namespace fsbb::serve {
 namespace {
 
 TEST(DistTransport, NormalizeStripsOneTrailingCarriageReturn) {
@@ -39,13 +42,26 @@ TEST(DistTransport, NormalizeKeepsPayloadLinesIntact) {
   EXPECT_EQ(line, "  {\"a\": 1}");
 }
 
+/// The coordinator's configuration: no cap, so no line is ever dropped.
+/// Returns the completed lines' text; none may be an oversized marker.
+std::vector<std::string> feed(BoundedLineReader& reader,
+                              const std::string& bytes) {
+  std::vector<std::string> lines;
+  for (BoundedLineReader::Line& line :
+       reader.feed(bytes.data(), bytes.size())) {
+    EXPECT_FALSE(line.oversized);
+    lines.push_back(std::move(line.text));
+  }
+  return lines;
+}
+
 TEST(DistTransport, LineReaderReassemblesSplitChunks) {
-  LineReader reader;
+  BoundedLineReader reader(SIZE_MAX);
   const std::string stream = "{\"event\":\"ready\"}\n{\"event\":\"done\"}\n";
   std::vector<std::string> lines;
   // Feed one byte at a time — the worst poll(2) can do.
   for (const char c : stream) {
-    for (std::string& line : reader.feed(&c, 1)) {
+    for (std::string& line : feed(reader, std::string(1, c))) {
       lines.push_back(std::move(line));
     }
   }
@@ -56,27 +72,41 @@ TEST(DistTransport, LineReaderReassemblesSplitChunks) {
 }
 
 TEST(DistTransport, LineReaderDropsBlankAndNormalizesCrlf) {
-  LineReader reader;
-  const std::string stream = "a\r\n\r\n\n  \nb\n";
-  const std::vector<std::string> lines =
-      reader.feed(stream.data(), stream.size());
+  BoundedLineReader reader(SIZE_MAX);
+  const std::vector<std::string> lines = feed(reader, "a\r\n\r\n\n  \nb\n");
   ASSERT_EQ(lines.size(), 2u);
   EXPECT_EQ(lines[0], "a");
   EXPECT_EQ(lines[1], "b");
 }
 
 TEST(DistTransport, LineReaderBuffersUnterminatedTail) {
-  LineReader reader;
+  BoundedLineReader reader(SIZE_MAX);
   const std::string head = "{\"half\":";
-  EXPECT_TRUE(reader.feed(head.data(), head.size()).empty());
+  EXPECT_TRUE(feed(reader, head).empty());
   EXPECT_EQ(reader.pending(), head.size());
 
-  const std::string tail = "1}\n";
-  const std::vector<std::string> lines = reader.feed(tail.data(), tail.size());
+  const std::vector<std::string> lines = feed(reader, "1}\n");
   ASSERT_EQ(lines.size(), 1u);
   EXPECT_EQ(lines[0], "{\"half\":1}");
   EXPECT_EQ(reader.pending(), 0u);
 }
 
+TEST(DistTransport, LineReaderKeepsLargeCheckpointLines) {
+  // A checkpoint carries a whole sub-pool; 4 MiB is four times the
+  // socket sessions' default cap and must still arrive intact.
+  BoundedLineReader reader(SIZE_MAX);
+  const std::string payload(4u << 20, 'x');
+  std::vector<std::string> lines;
+  const std::string stream = payload + "\nnext\n";
+  for (std::size_t at = 0; at < stream.size(); at += 4096) {
+    for (std::string& line : feed(reader, stream.substr(at, 4096))) {
+      lines.push_back(std::move(line));
+    }
+  }
+  ASSERT_EQ(lines.size(), 2u);
+  EXPECT_EQ(lines[0], payload);
+  EXPECT_EQ(lines[1], "next");
+}
+
 }  // namespace
-}  // namespace fsbb::dist
+}  // namespace fsbb::serve

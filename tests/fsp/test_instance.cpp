@@ -66,6 +66,29 @@ TEST(Instance, RejectsTimesWhoseTotalOverflowsTime) {
             std::numeric_limits<Time>::max());
 }
 
+TEST(Instance, RejectsDimensionsBeyondJobIdRange) {
+  // JobId and the machine-couple indices are int16: one more job or
+  // machine than 32767 would wrap to a negative index.
+  const auto expect_rejected = [](std::size_t jobs, std::size_t machines,
+                                  const std::string& what) {
+    try {
+      const Instance inst("wide", Matrix<Time>(jobs, machines, 1));
+      FAIL() << "accepted " << inst.jobs() << "x" << inst.machines();
+    } catch (const CheckFailure& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find(what), std::string::npos) << message;
+      EXPECT_NE(message.find("limit is 32767"), std::string::npos) << message;
+    }
+  };
+  expect_rejected(32768, 1, "32768 jobs");
+  expect_rejected(40000, 2, "40000 jobs");
+  expect_rejected(1, 32768, "32768 machines");
+  // Exactly the limit still fits.
+  EXPECT_EQ(Instance("jobs", Matrix<Time>(32767, 1, 1)).jobs(), 32767);
+  EXPECT_EQ(Instance("machines", Matrix<Time>(1, 32767, 1)).machines(),
+            32767);
+}
+
 TEST(Instance, ZeroTimesAreAllowed) {
   Matrix<Time> pt(2, 2, 0);
   const Instance inst("zeros", std::move(pt));

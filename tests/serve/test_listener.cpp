@@ -1,11 +1,13 @@
-// serve::Listener over real loopback sockets: ephemeral binding,
-// concurrent sessions sharing one cache and quota table, oversized-line
-// errors, idle timeouts, max-connection rejection, and — the teardown
-// property the serving layer exists for — a client killed mid-solve
-// leaves the server healthy, with its job canceled and drained.
+// serve::Listener over real loopback sockets: session socket options,
+// ephemeral binding, concurrent sessions sharing one cache and quota
+// table, oversized-line errors, idle timeouts, max-connection rejection,
+// and — the teardown property the serving layer exists for — a client
+// killed mid-solve leaves the server healthy, with its job canceled and
+// drained.
 #include <gtest/gtest.h>
 
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -127,6 +129,40 @@ ServerOptions quiet_options() {
   options.workers = 2;
   options.quiet_progress = true;
   return options;
+}
+
+int tcp_nodelay(int fd) {
+  int value = -1;
+  socklen_t len = sizeof(value);
+  EXPECT_EQ(::getsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &value, &len), 0)
+      << std::strerror(errno);
+  return value;
+}
+
+TEST(ServeListener, SessionSocketsDisableNagle) {
+  // A loopback pair: listen on an ephemeral port, connect, accept.
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<const sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 1), 0);
+  socklen_t addr_len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                          &addr_len),
+            0);
+  TestConn peer(ntohs(addr.sin_port));
+  const int accepted = ::accept(listen_fd, nullptr, nullptr);
+  ASSERT_GE(accepted, 0) << std::strerror(errno);
+
+  EXPECT_EQ(tcp_nodelay(accepted), 0);  // the kernel default: Nagle on
+  EXPECT_TRUE(configure_session_socket(accepted));
+  EXPECT_EQ(tcp_nodelay(accepted), 1);
+  ::close(accepted);
+  ::close(listen_fd);
 }
 
 TEST(ServeListener, EphemeralPortSolvesAndServesMetrics) {

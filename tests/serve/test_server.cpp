@@ -171,6 +171,34 @@ TEST(ServeClient, OutOfRangeWireTimesReject) {
   }
 }
 
+TEST(ServeClient, InstanceBeyondJobIdRangeRejectsAndClientKeepsSolving) {
+  Server server(small_options());
+  LineCollector out;
+  auto client = std::make_shared<Client>(server, out.sink());
+  // 40,000 one-machine rows (~160 KB, under the default line cap) would
+  // wrap the int16 JobId; the instance refuses it at the edge.
+  std::string rows;
+  for (int j = 0; j < 40000; ++j) rows += j == 0 ? "[1]" : ",[1]";
+  client->handle_line(R"({"op":"submit","id":"huge","cli":"","instance":)"
+                      R"({"ptm":[)" + rows + "]}}");
+  const JsonValue rejected =
+      JsonValue::parse(out.wait_for("limit is 32767"));
+  EXPECT_EQ(rejected.string_or("event", ""), "rejected");
+  EXPECT_EQ(rejected.string_or("id", ""), "huge");
+  EXPECT_NE(rejected.string_or("error", "").find("40000 jobs"),
+            std::string::npos);
+
+  client->handle_line(
+      R"({"op":"submit","id":"next","cli":"--backend cpu-serial",)"
+      R"("instance":{"ptm":[[3,2],[1,4],[2,2]]}})");
+  const JsonValue result =
+      JsonValue::parse(out.wait_for("\"event\":\"result\""));
+  EXPECT_EQ(result.string_or("id", ""), "next");
+  EXPECT_TRUE(result.bool_or("ok", false));
+  EXPECT_EQ(result.string_or("stop_reason", ""), "optimal");
+  client->drain();
+}
+
 TEST(ServeClient, MetricsOpReturnsFullRegistry) {
   Server server(small_options());
   LineCollector out;

@@ -61,7 +61,6 @@
 
 #include "common/cli.h"
 #include "common/json.h"
-#include "dist/transport.h"
 #include "dist/worker.h"
 #include "serve/line_io.h"
 #include "serve/listener.h"
@@ -104,10 +103,7 @@ int run_stdio(serve::Server& server) {
       client->handle_oversized_line();
       continue;
     }
-    // CRLF clients (netcat -C, telnet, Windows pipes) terminate every
-    // line with \r\n, and interactive sessions send blank keep-alive
-    // lines; neither must reach the JSON parser.
-    if (!dist::normalize_transport_line(line)) continue;
+    if (!serve::normalize_transport_line(line)) continue;
     shutdown = client->handle_line(line) == serve::Client::Action::kShutdown;
   }
   if (shutdown) client->cancel_all();  // explicit shutdown: stop everything

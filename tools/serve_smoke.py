@@ -11,17 +11,24 @@ then drives three concurrent clients over real TCP connections:
   * client C asks for the metrics registry and asserts the accepted /
     rejected counters reflect the other two.
 
-Finally client A cancels its long job, the server is shut down via the
-remote shutdown op, and the process must exit 0.
+Client A then cancels its long job, and client D times 20 sequential
+submit->result round trips of a small explicit instance on a socket left
+at Python's defaults (Nagle on): each submit answers with two small
+frames, and a server that leaves Nagle on too holds the second until the
+client's delayed ACK (~40 ms), so the median must stay below 10 ms.
+Finally the server is shut down via the remote shutdown op, and the
+process must exit 0.
 
 Usage: serve_smoke.py /path/to/fsbb_serve
 """
 
 import json
 import socket
+import statistics
 import subprocess
 import sys
 import threading
+import time
 
 
 class Client:
@@ -118,12 +125,33 @@ def main():
     canceled = alpha.read_until(event="result", id="long")
     assert canceled["stop_reason"] == "canceled", canceled
 
+    # Request latency: sequential round trips, each a fresh solve (the
+    # cache is bypassed) of a 3x2 instance that takes well under 1 ms.
+    latency = Client(port)
+    round_trips_ms = []
+    for i in range(20):
+        start = time.perf_counter()
+        latency.send({
+            "op": "submit", "id": f"rt{i}", "tenant": "gamma",
+            "cache": "bypass", "cli": "--backend cpu-serial",
+            "instance": {"ptm": [[3, 2], [1, 4], [2, 2]]},
+        })
+        result = latency.read_until(event="result", id=f"rt{i}")
+        round_trips_ms.append((time.perf_counter() - start) * 1e3)
+        assert result["ok"] and result["stop_reason"] == "optimal", result
+    median_ms = statistics.median(round_trips_ms)
+    print(f"submit->result round trip: median {median_ms:.2f} ms, "
+          f"max {max(round_trips_ms):.2f} ms over 20")
+    assert median_ms < 10.0, \
+        f"round-trip median {median_ms:.2f} ms: is TCP_NODELAY set?"
+
     monitor.send({"op": "shutdown"})
-    for client in (alpha, beta, monitor):
+    for client in (alpha, beta, monitor, latency):
         client.close()
     code = server.wait(timeout=60)
     assert code == 0, f"server exited {code}"
-    print("OK: quota enforced, tenants isolated, clean remote shutdown")
+    print("OK: quota enforced, tenants isolated, low round-trip latency, "
+          "clean remote shutdown")
 
 
 if __name__ == "__main__":
