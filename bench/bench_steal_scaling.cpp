@@ -1,84 +1,79 @@
 // Shared-pool vs work-stealing multicore scaling — the Fig. 5-style
 // companion for the cpu-steal engine.
 //
-// Both engines explore the same frozen §IV workload on the paper's 20x20
-// class under the same node budget, so the wall-clock ratio is a pure
-// engine-overhead comparison: the shared pool serializes every pop/push
-// through one mutex, the sharded pool only pays for the occasional steal.
+// Both engines prove the same five Taillard 20x5 instances (ta002, ta003,
+// ta004, ta007, ta009) from the root, starting at their published optima.
+// With the incumbent already optimal nothing ever improves it, so every
+// run explores the same tree (every node whose bound is below the
+// optimum) whatever the thread count and the thread interleaving, and the
+// wall-clock ratio is a pure engine-overhead comparison: the shared pool
+// serializes every pop/push through one mutex, the sharded pool only pays
+// for the occasional steal. A root start puts the whole tree on one
+// worker's deque, so every other worker must steal its first node: the
+// steal columns are nonzero from 2 threads on.
 //
-// Expected shape: near-identical at 1 thread (same bounding kernel), the
-// gap widening with the thread count as the single lock saturates —
-// work-stealing should win clearly by 8 threads.
-//
-// The work-stealing engine runs twice per row: per-shard mutex deques vs
-// the lock-free Chase–Lev deques (--deque chase-lev in the CLI).
-//
-//   $ bench_steal_scaling [--jobs N] [--machines M] [--node-budget B]
-//                         [--steal-batch K] [--victim-order ORDER]
+//   $ bench_steal_scaling
+#include <cstdint>
 #include <iostream>
+#include <string>
 
-#include "api/scenario.h"
-#include "bench_common.h"
 #include "common/table.h"
 #include "common/timer.h"
+#include "fsp/lb_data.h"
+#include "fsp/taillard.h"
 #include "mtbb/mt_engine.h"
 #include "mtbb/steal_engine.h"
 
-int main(int argc, char** argv) {
+namespace {
+
+struct Proof {
+  int ta;
+  fsbb::fsp::Time optimum;  ///< published (Taillard 1993)
+};
+
+constexpr Proof kProofs[] = {
+    {2, 1359}, {3, 1081}, {4, 1293}, {7, 1234}, {9, 1230}};
+
+}  // namespace
+
+int main() {
   using namespace fsbb;
 
-  const CliArgs args =
-      CliArgs::parse(argc, argv, api::SolverConfig::cli_flags());
-  api::SolverConfig config = api::SolverConfig::from_cli(args);
-  const int jobs = args.has("jobs") ? config.instance.jobs : 20;
-  const int machines = args.has("machines") ? config.instance.machines : 20;
-  const std::uint64_t budget =
-      config.node_budget != 0 ? config.node_budget : 60000;
-
-  // The paper's §IV protocol: freeze one pool, explore it with every
-  // competitor. The budget keeps per-cell work identical and bounded.
-  const api::Workload workload = api::make_class_workload(jobs, machines);
-
   std::cout << "work-stealing vs shared-pool multicore B&B\n"
-            << workload.inst().name() << " (" << jobs << "x" << machines
-            << "), frozen pool of " << workload.frozen.nodes.size()
-            << " nodes, budget " << budget << " nodes/run, steal batch "
-            << config.steal_batch << ", victim order "
-            << core::to_string(config.victim_order) << "\n\n";
+            << "ta002/3/4/7/9 (20x5) proved from the root at their published "
+               "optima; seconds summed over the five proofs\n\n";
 
-  AsciiTable table("same workload, same node budget — engine overhead only");
-  table.set_header({"threads", "shared-pool s", "mutex-deque s",
-                    "chase-lev s", "cl/mutex", "steals (ok/try)",
-                    "nodes stolen"});
+  AsciiTable table("same trees, same lb1 bounding — engine overhead only");
+  table.set_header({"threads", "shared-pool s", "work-steal s", "branched",
+                    "steals (ok/try)", "nodes stolen"});
 
   double shared_base = 0, shared_last = 0;
   double steal_base = 0, steal_last = 0;
   for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
-    mtbb::MtOptions options;
-    options.threads = threads;
-    options.node_budget = budget;
-    options.victim_order = config.victim_order;
-    options.steal_batch = config.steal_batch;
+    double shared_s = 0, steal_s = 0;
+    std::uint64_t branched = 0;
+    core::StealStats steals;
+    for (const Proof& proof : kProofs) {
+      const fsp::Instance inst = fsp::taillard_instance(proof.ta);
+      const fsp::LowerBoundData data = fsp::LowerBoundData::build(inst);
+      mtbb::MtOptions options;
+      options.threads = threads;
+      options.initial_ub = proof.optimum;
 
-    const WallTimer shared_timer;
-    const core::SolveResult shared = mtbb::mt_solve_from(
-        workload.inst(), workload.lb(), workload.frozen.nodes,
-        workload.frozen.incumbent, options);
-    const double shared_s = shared_timer.seconds();
+      const WallTimer shared_timer;
+      mtbb::mt_solve(inst, data, options);
+      shared_s += shared_timer.seconds();
 
-    options.deque = core::DequeKind::kMutex;
-    const WallTimer steal_timer;
-    const core::SolveResult stolen = mtbb::steal_solve_from(
-        workload.inst(), workload.lb(), workload.frozen.nodes,
-        workload.frozen.incumbent, options);
-    const double steal_s = steal_timer.seconds();
-
-    options.deque = core::DequeKind::kChaseLev;
-    const WallTimer cl_timer;
-    const core::SolveResult cl_stolen = mtbb::steal_solve_from(
-        workload.inst(), workload.lb(), workload.frozen.nodes,
-        workload.frozen.incumbent, options);
-    const double cl_s = cl_timer.seconds();
+      const WallTimer steal_timer;
+      const core::SolveResult stolen = mtbb::steal_solve(inst, data, options);
+      steal_s += steal_timer.seconds();
+      branched += stolen.stats.branched;
+      if (stolen.steal) {
+        steals.steal_attempts += stolen.steal->steal_attempts;
+        steals.steal_successes += stolen.steal->steal_successes;
+        steals.nodes_stolen += stolen.steal->nodes_stolen;
+      }
+    }
 
     if (threads == 1) {
       shared_base = shared_s;
@@ -86,15 +81,11 @@ int main(int argc, char** argv) {
     }
     shared_last = shared_s;
     steal_last = steal_s;
-    const core::StealStats steals =
-        cl_stolen.steal.value_or(core::StealStats{});
-    table.add_row(
-        {std::to_string(threads), AsciiTable::num(shared_s),
-         AsciiTable::num(steal_s), AsciiTable::num(cl_s),
-         AsciiTable::num(cl_s / steal_s) + "x",
-         std::to_string(steals.steal_successes) + "/" +
-             std::to_string(steals.steal_attempts),
-         std::to_string(steals.nodes_stolen)});
+    table.add_row({std::to_string(threads), AsciiTable::num(shared_s),
+                   AsciiTable::num(steal_s), std::to_string(branched),
+                   std::to_string(steals.steal_successes) + "/" +
+                       std::to_string(steals.steal_attempts),
+                   std::to_string(steals.nodes_stolen)});
   }
   table.render(std::cout);
 

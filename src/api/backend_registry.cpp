@@ -139,9 +139,6 @@ mtbb::MtOptions mt_options(const BackendContext& ctx) {
                                              : mtbb::MtBound::kLb1;
   o.initial_ub = ctx.config->initial_ub;
   o.node_budget = ctx.config->node_budget;
-  o.victim_order = ctx.config->victim_order;
-  o.steal_batch = ctx.config->steal_batch;
-  o.deque = ctx.config->deque;
   o.control = ctx.control;
   return o;
 }
@@ -353,8 +350,8 @@ void register_builtins(BackendRegistry& r) {
           return std::make_unique<MulticoreBackend>(ctx);
         });
   r.add("cpu-steal",
-        "work-stealing sharded-pool B&B over --threads workers "
-        "(--victim-order, --steal-batch, --deque; lb1 or lb2 per "
+        "work-stealing sharded-pool B&B over --threads workers (one "
+        "deque each, round-robin oldest-first steals; lb1 or lb2 per "
         "--bound); strategy/batch/time-limit do not apply",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           require_bound(ctx, "cpu-steal", {Bound::kLb1, Bound::kLb2});

@@ -18,9 +18,9 @@
 //   multicore    the §V shared-pool Pthread baseline (ignores strategy,
 //                batch and time limit; node counts vary across runs,
 //                results do not)
-//   cpu-steal    work-stealing sharded-pool B&B (config.victim_order,
-//                config.steal_batch; same caveats as multicore, plus
-//                steal statistics in the result)
+//   cpu-steal    work-stealing sharded-pool B&B (one deque per worker,
+//                round-robin oldest-first steals; same caveats as
+//                multicore, plus steal statistics in the result)
 #pragma once
 
 #include <functional>

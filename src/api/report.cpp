@@ -29,9 +29,6 @@ std::string config_json(const SolverConfig& c) {
   o.integer("batch_size", c.batch_size);
   o.integer("threads", c.threads);
   o.integer("batch_workers", c.batch_workers);
-  o.str("victim_order", core::to_string(c.victim_order));
-  o.str("deque", core::to_string(c.deque));
-  o.integer("steal_batch", c.steal_batch);
   o.integer("block_threads", c.block_threads);
   o.str("placement", gpubb::to_string(c.placement));
   o.str("gpu_pool", gpubb::to_string(c.gpu_pool));

@@ -89,10 +89,8 @@ const std::vector<std::string>& SolverConfig::cli_flags() {
       "threads",    "batch-workers", "block-threads", "placement",
       "device",     "ub",            "node-budget",   "time-limit",
       "ta",         "jobs",          "machines",      "seed",
-      "count",      "victim-order",  "steal-batch",   "deque",
-      "deadline-ms",
-      "progress-interval-ms",        "gpu-pool",      "tenant",
-      "priority",   "gpu-devices",
+      "count",      "deadline-ms",   "progress-interval-ms",
+      "gpu-pool",   "tenant",        "priority",      "gpu-devices",
   };
   return kFlags;
 }
@@ -105,13 +103,6 @@ SolverConfig SolverConfig::from_cli(const CliArgs& args) {
   c.batch_size = get_count_flag(args, "batch", c.batch_size);
   c.threads = get_count_flag(args, "threads", c.threads);
   c.batch_workers = get_count_flag(args, "batch-workers", c.batch_workers);
-  if (const auto v = args.get("victim-order")) {
-    c.victim_order = core::parse_victim_order(*v);
-  }
-  c.steal_batch = get_count_flag(args, "steal-batch", c.steal_batch);
-  if (const auto v = args.get("deque")) {
-    c.deque = core::parse_deque_kind(*v);
-  }
   c.block_threads =
       static_cast<int>(args.get_int_or("block-threads", c.block_threads));
   if (const auto v = args.get("placement")) c.placement = parse_placement(*v);
@@ -165,9 +156,6 @@ std::vector<std::string> SolverConfig::to_cli() const {
   flag("batch", std::to_string(batch_size));
   flag("threads", std::to_string(threads));
   flag("batch-workers", std::to_string(batch_workers));
-  flag("victim-order", core::to_string(victim_order));
-  flag("steal-batch", std::to_string(steal_batch));
-  flag("deque", core::to_string(deque));
   flag("block-threads", std::to_string(block_threads));
   flag("placement", gpubb::to_string(placement));
   flag("gpu-pool", gpubb::to_string(gpu_pool));
@@ -197,7 +185,6 @@ std::vector<std::string> SolverConfig::to_cli() const {
 void SolverConfig::validate() const {
   FSBB_CHECK_MSG(!backend.empty(), "backend key must not be empty");
   FSBB_CHECK_MSG(threads >= 1, "threads must be >= 1");
-  FSBB_CHECK_MSG(steal_batch >= 1, "steal batch must be >= 1");
   FSBB_CHECK_MSG(time_limit_seconds >= 0, "time limit must be >= 0");
   FSBB_CHECK_MSG(!tenant.empty(), "tenant must not be empty");
   FSBB_CHECK_MSG(

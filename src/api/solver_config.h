@@ -16,7 +16,6 @@
 
 #include "common/cli.h"
 #include "core/pool.h"
-#include "core/steal_stats.h"
 #include "fsp/instance.h"
 #include "gpubb/gpu_evaluator.h"
 #include "gpubb/placement.h"
@@ -71,12 +70,6 @@ struct SolverConfig {
   /// Concurrent jobs on the Solver's internal service (solve_many and
   /// solve alike); 0 = config.threads workers.
   std::size_t batch_workers = 0;
-  /// cpu-steal: victim scan order for starving workers.
-  core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
-  /// cpu-steal: nodes moved per successful steal (>= 1).
-  std::size_t steal_batch = 4;
-  /// cpu-steal: shard deque implementation (mutex | chase-lev).
-  core::DequeKind deque = core::DequeKind::kMutex;
   /// GPU kernel block size; 0 = the placement's recommended size.
   int block_threads = 0;
   gpubb::PlacementPolicy placement = gpubb::PlacementPolicy::kAuto;

@@ -61,7 +61,11 @@ struct EngineStats {
   std::uint64_t leaves = 0;      ///< complete schedules reached
   std::uint64_t ub_updates = 0;  ///< incumbent improvements
   double wall_seconds = 0;       ///< total solve time
-  double bounding_seconds = 0;   ///< time inside BoundEvaluator::evaluate
+  /// Time inside the bounding operator (BoundEvaluator::evaluate and its
+  /// sibling/resident seams). The threaded engines (multicore, cpu-steal)
+  /// time each expansion's bounding loop per worker and report the mean
+  /// over workers, so bounding_fraction() stays in [0, 1].
+  double bounding_seconds = 0;
   Time initial_ub = 0;
 
   double bounding_fraction() const {

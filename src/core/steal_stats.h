@@ -1,31 +1,12 @@
-// Work-stealing policy enums and counters — the lightweight slice of
-// core/work_steal.h that results (SolveResult, SolveReport) and options
-// (MtOptions, SolverConfig) need without pulling in the deque machinery.
+// Work-stealing counters — the lightweight slice of core/work_steal.h
+// that results (SolveResult, SolveReport) need without pulling in the
+// deque machinery.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace fsbb::core {
-
-/// Which victim a starving worker probes first.
-enum class VictimOrder {
-  kRoundRobin,  ///< cycle shards starting after the thief (deterministic)
-  kRandom,      ///< per-thief seeded random victim sequence
-};
-
-const char* to_string(VictimOrder order);
-VictimOrder parse_victim_order(const std::string& text);
-
-/// Which deque implementation backs each shard of the steal engine.
-enum class DequeKind {
-  kMutex,     ///< fine-grained per-shard mutex (the default)
-  kChaseLev,  ///< lock-free Chase–Lev circular array (Lê et al. fences)
-};
-
-const char* to_string(DequeKind kind);
-DequeKind parse_deque_kind(const std::string& text);
 
 /// Work-stealing traffic counters, merged across workers.
 struct StealStats {

@@ -8,31 +8,24 @@
 // per-worker-pool design Gmys (2020) and Chakroun & Melab (2012) show is
 // what lets exact flow-shop B&B scale past the shared-pool ceiling.
 //
-// The deque is generic over its node type AND its storage. The steal
-// engine instantiates it over 12-byte NodeRef handles — with the default
-// unbounded heap storage behind a per-shard mutex, or (selectable via
-// MtOptions::deque / --deque chase-lev) the lock-free Chase–Lev circular
-// array specialized below; the simulated GPU instantiates the same shard
-// structure over bounded rings living in externally owned fixed-stride
-// memory (a DeviceBuffer span) — one ShardedPool abstraction spanning the
-// host workers and the per-SM device-resident pools. The mutexed form's
-// critical sections are a few-word move (handle entries), which is what
-// made the Chase–Lev upgrade a drop-in: same push/pop/steal/drain surface,
-// different synchronization.
+// Every deque is one mutex-guarded storage; the storage is the only thing
+// that varies. The steal engine instantiates the deque over 12-byte
+// NodeRef handles in unbounded heap storage; the simulated GPU
+// instantiates the same shard structure over bounded rings living in
+// externally owned fixed-stride memory (a DeviceBuffer span) — one
+// ShardedPool abstraction spanning the host workers and the per-SM
+// device-resident pools. The critical sections are a few-word move
+// (handle entries), so an uncontended lock is the whole cost.
 //
 // drain() is deterministic given the deque contents (shard 0..W-1, each
 // front to back), so the frozen-pool protocol keeps working on top.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
-#include <cstring>
 #include <deque>
 #include <memory>
 #include <optional>
 #include <span>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -130,14 +123,6 @@ class FixedRingStorage {
   std::size_t count_ = 0;
 };
 
-/// Storage tag selecting the lock-free Chase–Lev specialization of
-/// WorkStealingDequeT below. Unlike HeapDequeStorage/FixedRingStorage this
-/// is not a container — the Chase–Lev algorithm owns its circular array
-/// and its synchronization — but it rides the same Storage slot so
-/// ShardedPoolT composes over it unchanged.
-template <typename Node>
-class ChaseLevStorage {};
-
 /// One worker's local pool. Owner operations (push/pop) hit the back;
 /// steals take the oldest nodes from the front. All operations are
 /// thread-safe; the owner's lock is uncontended unless a thief is present.
@@ -200,187 +185,6 @@ class WorkStealingDequeT {
  private:
   mutable Mutex mu_;
   Storage items_ FSBB_GUARDED_BY(mu_);
-};
-
-/// Lock-free Chase–Lev work-stealing deque (Chase & Lev, SPAA 2005) with
-/// the C11 fence placement of Lê, Pop, Cohen & Zappa Nardelli (PPoPP
-/// 2013). Same public surface as the mutexed deque, so ShardedPoolT and
-/// the steal engine are oblivious to which one they run over.
-///
-/// The owner pushes/pops `bottom`; thieves CAS `top`. Cells are arrays of
-/// relaxed atomic 32-bit words (NodeRef is 12 bytes = 3 words): a thief
-/// may read a cell the owner is concurrently overwriting, but the torn
-/// value is never *used* — the subsequent CAS on `top` fails for exactly
-/// the interleavings that could have torn it, which is the standard
-/// data-race-free formulation of the algorithm. Growth (owner-only)
-/// copies into a bigger array and publishes it; retired arrays are kept
-/// until destruction so a thief holding a stale pointer still reads live
-/// memory (its CAS then decides whether the value counts).
-///
-/// drain()/clear-style maintenance is quiescent-only (no concurrent
-/// owner/thieves) — the steal engine drains after the gang has joined.
-template <typename Node>
-class WorkStealingDequeT<Node, ChaseLevStorage<Node>> {
-  static_assert(std::is_trivially_copyable_v<Node>,
-                "Chase-Lev cells hold raw words; Node must be trivially "
-                "copyable (use 12-byte NodeRef handles, not Subproblem)");
-
- public:
-  WorkStealingDequeT() {
-    owned_.push_back(std::make_unique<Buffer>(kInitialCapacity));
-    buffer_.store(owned_.back().get(), std::memory_order_relaxed);
-  }
-
-  /// Owner: push a node on the back (LIFO hot end). Never fails — the
-  /// array grows like the heap storage.
-  bool push(Node&& n) {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed);
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    if (b - t > static_cast<std::int64_t>(buf->capacity()) - 1) {
-      grow(t, b);
-      buf = buffer_.load(std::memory_order_relaxed);
-    }
-    buf->put(b, n);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Owner: pop the most recently pushed node; nullopt when empty (or when
-  /// a thief won the race for the last node).
-  std::optional<Node> pop() {
-    const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    Buffer* buf = buffer_.load(std::memory_order_relaxed);
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
-    if (t > b) {  // already empty: undo the reservation
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      return std::nullopt;
-    }
-    Node n = buf->get(b);
-    if (t == b) {
-      // Last node: race the thieves for it via the same CAS they use.
-      const bool won = top_.compare_exchange_strong(
-          t, t + 1, std::memory_order_seq_cst, std::memory_order_relaxed);
-      bottom_.store(b + 1, std::memory_order_relaxed);
-      if (!won) return std::nullopt;
-    }
-    return n;
-  }
-
-  /// Thief: move up to `max_nodes` of the *oldest* nodes into `out`.
-  /// Returns how many were taken. A lost CAS race ends the batch early
-  /// (the caller's victim scan simply moves on).
-  std::size_t steal(std::vector<Node>& out, std::size_t max_nodes) {
-    std::size_t taken = 0;
-    while (taken < max_nodes) {
-      std::int64_t t = top_.load(std::memory_order_acquire);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      const std::int64_t b = bottom_.load(std::memory_order_acquire);
-      if (t >= b) break;  // empty
-      Buffer* buf = buffer_.load(std::memory_order_acquire);
-      Node n = buf->get(t);
-      if (!top_.compare_exchange_strong(t, t + 1,
-                                        std::memory_order_seq_cst,
-                                        std::memory_order_relaxed)) {
-        break;  // lost to the owner or another thief
-      }
-      out.push_back(n);
-      ++taken;
-    }
-    return taken;
-  }
-
-  /// Racy under concurrency (like every cross-shard size sum).
-  std::size_t size() const {
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    return b > t ? static_cast<std::size_t>(b - t) : 0;
-  }
-  bool empty() const { return size() == 0; }
-  /// Unbounded (grows like the heap storage).
-  std::size_t capacity() const { return static_cast<std::size_t>(-1); }
-
-  /// Removes every node front-to-back (deterministic given the contents).
-  /// Quiescent-only: no concurrent owner or thieves.
-  std::vector<Node> drain() {
-    const std::int64_t t = top_.load(std::memory_order_acquire);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
-    Buffer* buf = buffer_.load(std::memory_order_acquire);
-    std::vector<Node> out;
-    out.reserve(b > t ? static_cast<std::size_t>(b - t) : 0);
-    for (std::int64_t i = t; i < b; ++i) {
-      out.push_back(buf->get(i));
-    }
-    top_.store(b, std::memory_order_relaxed);
-    return out;
-  }
-
- private:
-  static constexpr std::size_t kInitialCapacity = 64;  // power of two
-  static constexpr std::size_t kWords = (sizeof(Node) + 3) / 4;
-
-  /// Power-of-two circular array of word-atomic cells.
-  class Buffer {
-   public:
-    explicit Buffer(std::size_t cap) : mask_(cap - 1), cells_(cap * kWords) {
-      FSBB_ASSERT((cap & (cap - 1)) == 0);
-    }
-
-    std::size_t capacity() const { return mask_ + 1; }
-
-    void put(std::int64_t i, const Node& n) {
-      std::uint32_t w[kWords] = {};
-      std::memcpy(w, &n, sizeof(Node));
-      std::atomic<std::uint32_t>* c = cell(i);
-      for (std::size_t k = 0; k < kWords; ++k) {
-        c[k].store(w[k], std::memory_order_relaxed);
-      }
-    }
-    Node get(std::int64_t i) const {
-      std::uint32_t w[kWords];
-      const std::atomic<std::uint32_t>* c = cell(i);
-      for (std::size_t k = 0; k < kWords; ++k) {
-        w[k] = c[k].load(std::memory_order_relaxed);
-      }
-      Node n;
-      std::memcpy(&n, w, sizeof(Node));
-      return n;
-    }
-
-   private:
-    std::atomic<std::uint32_t>* cell(std::int64_t i) {
-      return cells_.data() +
-             (static_cast<std::size_t>(i) & mask_) * kWords;
-    }
-    const std::atomic<std::uint32_t>* cell(std::int64_t i) const {
-      return cells_.data() +
-             (static_cast<std::size_t>(i) & mask_) * kWords;
-    }
-
-    std::size_t mask_;
-    std::vector<std::atomic<std::uint32_t>> cells_;
-  };
-
-  /// Owner-only (called from push): double the array, copy the live
-  /// window, publish. The old buffer stays alive in owned_ for stale
-  /// thief reads.
-  void grow(std::int64_t t, std::int64_t b) {
-    Buffer* old = buffer_.load(std::memory_order_relaxed);
-    auto bigger = std::make_unique<Buffer>(old->capacity() * 2);
-    for (std::int64_t i = t; i < b; ++i) {
-      bigger->put(i, old->get(i));
-    }
-    buffer_.store(bigger.get(), std::memory_order_release);
-    owned_.push_back(std::move(bigger));
-  }
-
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::atomic<Buffer*> buffer_{nullptr};
-  std::vector<std::unique_ptr<Buffer>> owned_;  // current + retired arrays
 };
 
 /// A fixed set of per-worker deques plus the cross-shard operations the

@@ -19,6 +19,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/timer.h"
 #include "core/engine.h"
 #include "core/node_arena.h"
 #include "core/subproblem.h"
@@ -48,16 +49,19 @@ struct BestLeaf {
 
 /// Branches the node behind `node.slot`, bounds every incomplete child
 /// with the bound context (fsp::Lb1BoundContext or Lb2BoundContext — any
-/// type with set_parent/bound_child), appends the children below
-/// `ub_snapshot` to `survivors` (cleared first) and accumulates the
-/// generated/evaluated/pruned/leaves counters into `stats`. Children are
-/// allocated on `lane`; the caller still owns (and must release) the
-/// parent slot. Returns the best complete child, if any.
+/// type with set_parent/bound_child) into `lbs`, appends the children
+/// below `ub_snapshot` to `survivors` (cleared first) and accumulates the
+/// generated/evaluated/pruned/leaves counters and the bounding time into
+/// `stats`. All children are bounded before any survivor is allocated, so
+/// the timed region is the bound context alone. Children are allocated on
+/// `lane`; the caller still owns (and must release) the parent slot.
+/// Returns the best complete child, if any.
 template <typename BoundContext>
 inline BestLeaf expand_node(const fsp::Instance& inst, core::NodeArena& arena,
                             std::size_t lane, const core::NodeRef& node,
                             fsp::Time ub_snapshot, BoundContext& ctx,
                             core::EngineStats& stats,
+                            std::vector<fsp::Time>& lbs,
                             std::vector<core::NodeRef>& survivors) {
   survivors.clear();
   BestLeaf best;
@@ -76,17 +80,23 @@ inline BestLeaf expand_node(const fsp::Instance& inst, core::NodeArena& arena,
     }
     return best;
   }
-  ctx.set_parent(perm.first(d));
-  for (int i = 0; i < r; ++i) {
-    ++stats.generated;
-    const fsp::JobId job = perm[d + static_cast<std::size_t>(i)];
-    const fsp::Time lb = ctx.bound_child(job);
-    ++stats.evaluated;
-    if (lb < ub_snapshot) {
+  const auto children = static_cast<std::size_t>(r);
+  lbs.resize(children);
+  {
+    const WallTimer bound_timer;
+    ctx.set_parent(perm.first(d));
+    for (std::size_t i = 0; i < children; ++i) {
+      lbs[i] = ctx.bound_child(perm[d + i]);
+    }
+    stats.bounding_seconds += bound_timer.seconds();
+  }
+  stats.generated += children;
+  stats.evaluated += children;
+  for (std::size_t i = 0; i < children; ++i) {
+    if (lbs[i] < ub_snapshot) {
       const core::NodeArena::Handle c = arena.allocate(lane);
-      core::write_child_perm(perm, d, static_cast<std::size_t>(i),
-                             arena.perm(c));
-      survivors.push_back(core::NodeRef{lb, node.depth + 1, c});
+      core::write_child_perm(perm, d, i, arena.perm(c));
+      survivors.push_back(core::NodeRef{lbs[i], node.depth + 1, c});
     } else {
       ++stats.pruned;
     }

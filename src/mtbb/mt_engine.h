@@ -17,7 +17,6 @@
 
 #include "core/engine.h"
 #include "core/search_control.h"
-#include "core/steal_stats.h"
 #include "fsp/instance.h"
 #include "fsp/lb_data.h"
 
@@ -33,8 +32,8 @@ enum class MtBound {
   kLb2,
 };
 
-/// Multi-threaded solve configuration (shared by the shared-pool baseline
-/// and the work-stealing engine; the steal knobs only affect the latter).
+/// Multi-threaded solve configuration, shared by the shared-pool baseline
+/// and the work-stealing engine.
 struct MtOptions {
   std::size_t threads = 4;
   /// Lower bound the workers compute per child.
@@ -43,13 +42,6 @@ struct MtOptions {
   std::optional<fsp::Time> initial_ub;
   /// Stop after this many branched nodes across all workers (0 = solve).
   std::uint64_t node_budget = 0;
-  /// Victim scan order for starving workers (steal engine only).
-  core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
-  /// Nodes moved per successful steal (steal engine only; >= 1).
-  std::size_t steal_batch = 4;
-  /// Shard deque implementation (steal engine only): per-shard mutex or
-  /// the lock-free Chase–Lev circular array.
-  core::DequeKind deque = core::DequeKind::kMutex;
   /// Cooperative cancellation / deadline / progress block (not owned; may
   /// be null). Every worker polls it once per node expansion.
   core::SearchControl* control = nullptr;

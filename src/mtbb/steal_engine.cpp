@@ -9,7 +9,6 @@
 
 #include "common/check.h"
 #include "common/mutex.h"
-#include "common/rng.h"
 #include "common/timer.h"
 #include "core/audit.h"
 #include "core/node_arena.h"
@@ -27,19 +26,19 @@ using core::Subproblem;
 /// Failed steal rounds before a starving worker naps instead of spinning.
 constexpr int kSpinRoundsBeforeNap = 16;
 constexpr auto kNap = std::chrono::microseconds(100);
+/// Oldest nodes moved per successful steal. Batches of 1 and 16 prove the
+/// Taillard 20x5 set no faster at 4 threads (README, "One steal
+/// configuration").
+constexpr std::size_t kStealBatch = 4;
 
 /// Everything the workers share. The hot path (pop/push/prune) only
 /// touches the worker's own shard and two atomics; permutations live in
 /// the shared arena and never move — a steal copies 12-byte handles.
-/// PoolT is the sharded pool over either deque kind (mutexed heap deques
-/// or lock-free Chase–Lev arrays) — the search loop is byte-for-byte the
-/// same; only the shard synchronization differs.
-template <typename PoolT>
 struct Shared {
   explicit Shared(std::size_t workers, int jobs)
       : pool(workers), arena(jobs, workers + 1) {}
 
-  PoolT pool;
+  core::ShardedPoolT<NodeRef> pool;  // one deque per worker
   core::NodeArena arena;
   /// Nodes resident anywhere: in a deque or being branched. Children are
   /// counted before their parent is released, so 0 means the tree is done.
@@ -52,8 +51,6 @@ struct Shared {
   std::atomic<int> stop_latch{-1};
   std::uint64_t node_budget = 0;
   core::SearchControl* control = nullptr;  // may be null
-  core::VictimOrder victim_order = core::VictimOrder::kRoundRobin;
-  std::size_t steal_batch = 1;
   /// LB2 tables, shared read-only by every worker (kLb2 runs only).
   const fsp::Lb2Data* lb2 = nullptr;
 
@@ -75,47 +72,41 @@ struct Shared {
   std::atomic<std::size_t> ready{0};
 };
 
-template <typename PoolT>
-void request_stop(Shared<PoolT>& sh, core::StopReason reason) {
+void request_stop(Shared& sh, core::StopReason reason) {
   int expected = -1;
   sh.stop_latch.compare_exchange_strong(expected, static_cast<int>(reason),
                                         std::memory_order_acq_rel);
   sh.stop.store(true, std::memory_order_release);
 }
 
-template <typename PoolT>
-void await_gang(Shared<PoolT>& sh) {
+void await_gang(Shared& sh) {
   sh.ready.fetch_add(1, std::memory_order_acq_rel);
   while (sh.ready.load(std::memory_order_acquire) < sh.pool.shards()) {
     std::this_thread::yield();
   }
 }
 
-/// One victim-scan round. Returns a node to process (stolen batch minus
-/// one lands in the thief's own deque) or nullopt if every victim was dry.
-template <typename PoolT>
-std::optional<NodeRef> try_steal(Shared<PoolT>& sh, std::size_t id,
-                                 std::size_t& rr_cursor, SplitMix64& rng,
+/// One round-robin victim-scan round. Returns a node to process (stolen
+/// batch minus one lands in the thief's own deque) or nullopt if every
+/// victim was dry.
+std::optional<NodeRef> try_steal(Shared& sh, std::size_t id,
+                                 std::size_t& rr_cursor,
                                  std::vector<NodeRef>& loot,
                                  StealStats& local) {
   const std::size_t workers = sh.pool.shards();
   if (workers <= 1) return std::nullopt;
   for (std::size_t probe = 0; probe + 1 < workers; ++probe) {
-    std::size_t victim;
-    if (sh.victim_order == core::VictimOrder::kRandom) {
-      victim = static_cast<std::size_t>(rng.next_below(workers - 1));
-      if (victim >= id) ++victim;  // skip self, stay uniform
-    } else {
-      // Skip self without consuming a probe, so every scan covers all
-      // W-1 other shards (at 2 threads the single probe must always
-      // land on the other worker).
-      if (rr_cursor == id) rr_cursor = rr_cursor + 1 == workers ? 0 : rr_cursor + 1;
-      victim = rr_cursor;
+    // Skip self without consuming a probe, so every scan covers all W-1
+    // other shards (at 2 threads the single probe must always land on
+    // the other worker).
+    if (rr_cursor == id) {
       rr_cursor = rr_cursor + 1 == workers ? 0 : rr_cursor + 1;
     }
+    const std::size_t victim = rr_cursor;
+    rr_cursor = rr_cursor + 1 == workers ? 0 : rr_cursor + 1;
     loot.clear();
     ++local.steal_attempts;
-    if (sh.pool.shard(victim).steal(loot, sh.steal_batch) == 0) continue;
+    if (sh.pool.shard(victim).steal(loot, kStealBatch) == 0) continue;
     ++local.steal_successes;
     local.nodes_stolen += loot.size();
     // Keep the oldest node for immediate branching; the rest refill the
@@ -132,15 +123,15 @@ std::optional<NodeRef> try_steal(Shared<PoolT>& sh, std::size_t id,
 /// BoundContext is fsp::Lb1BoundContext or detail::Lb2BoundContext — the
 /// search loop is byte-for-byte the same either way; only bound_child's
 /// arithmetic differs.
-template <typename PoolT, typename BoundContext>
+template <typename BoundContext>
 void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
-            Shared<PoolT>& sh, std::size_t id, BoundContext ctx) {
+            Shared& sh, std::size_t id, BoundContext ctx) {
   core::EngineStats local;
   StealStats local_steals;
+  std::vector<fsp::Time> lbs;
   std::vector<NodeRef> survivors;
   std::vector<NodeRef> loot;
   std::size_t rr_cursor = (id + 1) % sh.pool.shards();
-  SplitMix64 rng(0x5163a1ULL + id);  // per-worker victim sequence
   int dry_rounds = 0;
   await_gang(sh);
 
@@ -164,7 +155,7 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
       }
     }
     std::optional<NodeRef> node = sh.pool.shard(id).pop();
-    if (!node) node = try_steal(sh, id, rr_cursor, rng, loot, local_steals);
+    if (!node) node = try_steal(sh, id, rr_cursor, loot, local_steals);
     if (!node) {
       // Two-phase quiescence: observing zero once is not enough in
       // general (a node could be between a pop and its children's
@@ -199,7 +190,7 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
     ++local.branched;
 
     detail::BestLeaf best_leaf = detail::expand_node(
-        inst, sh.arena, id, *node, ub_snapshot, ctx, local, survivors);
+        inst, sh.arena, id, *node, ub_snapshot, ctx, local, lbs, survivors);
     sh.arena.release(node->slot, id);
 
     if (best_leaf.makespan < sh.ub.load(std::memory_order_acquire)) {
@@ -260,20 +251,19 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
   sh.stats.pruned += local.pruned;
   sh.stats.leaves += local.leaves;
   sh.stats.ub_updates += local.ub_updates;
+  sh.stats.bounding_seconds += local.bounding_seconds;
   sh.steal_stats.steal_attempts += local_steals.steal_attempts;
   sh.steal_stats.steal_successes += local_steals.steal_successes;
   sh.steal_stats.nodes_stolen += local_steals.nodes_stolen;
 }
 
-template <typename PoolT>
-core::SolveResult run_impl(const fsp::Instance& inst,
-                           const fsp::LowerBoundData& data,
-                           std::vector<Subproblem> initial,
-                           fsp::Time initial_ub, const MtOptions& options,
-                           std::vector<fsp::JobId> seed_perm,
-                           const fsp::Lb2Data* lb2) {
+core::SolveResult run(const fsp::Instance& inst,
+                      const fsp::LowerBoundData& data,
+                      std::vector<Subproblem> initial, fsp::Time initial_ub,
+                      const MtOptions& options,
+                      std::vector<fsp::JobId> seed_perm,
+                      const fsp::Lb2Data* lb2) {
   FSBB_CHECK_MSG(options.threads >= 1, "need at least one worker");
-  FSBB_CHECK_MSG(options.steal_batch >= 1, "steal batch must be >= 1");
   FSBB_CHECK_MSG(options.bound != MtBound::kLb2 || lb2 != nullptr,
                  "lb2 runs need the Lb2Data tables");
   const WallTimer timer;
@@ -287,7 +277,7 @@ core::SolveResult run_impl(const fsp::Instance& inst,
         std::make_unique<core::audit::IncumbentAudit>("cpu-steal");
   }
 
-  Shared<PoolT> sh(options.threads, inst.jobs());
+  Shared sh(options.threads, inst.jobs());
   if (arena_audit != nullptr) sh.arena.set_audit(arena_audit.get());
   sh.incumbent_audit = incumbent_audit.get();
   sh.lb2 = lb2;
@@ -295,8 +285,6 @@ core::SolveResult run_impl(const fsp::Instance& inst,
   sh.ub.store(initial_ub, std::memory_order_relaxed);
   sh.node_budget = options.node_budget;
   sh.control = options.control;
-  sh.victim_order = options.victim_order;
-  sh.steal_batch = options.steal_batch;
   {
     // Workers have not started; the locks are uncontended and keep every
     // guarded-field access inside a critical section.
@@ -368,28 +356,10 @@ core::SolveResult run_impl(const fsp::Instance& inst,
     arena_audit->check_drained();
   }
   result.stats.wall_seconds = timer.seconds();
-  // Bounding dominates worker time; report it as such for the profile bench.
-  result.stats.bounding_seconds = result.stats.wall_seconds;
+  // Per-worker mean, so bounding_fraction() is the share of a worker's
+  // wall time spent bounding.
+  result.stats.bounding_seconds /= static_cast<double>(options.threads);
   return result;
-}
-
-/// Dispatches on the deque kind once per solve; everything below the
-/// branch is the same templated search.
-core::SolveResult run(const fsp::Instance& inst,
-                      const fsp::LowerBoundData& data,
-                      std::vector<Subproblem> initial, fsp::Time initial_ub,
-                      const MtOptions& options,
-                      std::vector<fsp::JobId> seed_perm,
-                      const fsp::Lb2Data* lb2) {
-  if (options.deque == core::DequeKind::kChaseLev) {
-    return run_impl<
-        core::ShardedPoolT<NodeRef, core::ChaseLevStorage<NodeRef>>>(
-        inst, data, std::move(initial), initial_ub, options,
-        std::move(seed_perm), lb2);
-  }
-  return run_impl<core::ShardedPoolT<NodeRef>>(inst, data, std::move(initial),
-                                               initial_ub, options,
-                                               std::move(seed_perm), lb2);
 }
 
 }  // namespace

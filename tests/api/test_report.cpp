@@ -110,12 +110,16 @@ TEST(SolveReport, TextSummaryMentionsStealsOnlyWhenPresent) {
 }
 
 TEST(SolveReport, ConfigEchoCarriesStealKnobs) {
+  // cpu-steal's only knob is its worker count: no deque, victim-order or
+  // steal-batch field is echoed.
   SolveReport r = sample_report();
-  r.config.victim_order = core::VictimOrder::kRandom;
-  r.config.steal_batch = 7;
+  r.config.backend = "cpu-steal";
+  r.config.threads = 7;
   const std::string json = r.to_json();
-  EXPECT_NE(json.find("\"victim_order\":\"random\""), std::string::npos);
-  EXPECT_NE(json.find("\"steal_batch\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"threads\":7"), std::string::npos);
+  EXPECT_EQ(json.find("victim_order"), std::string::npos);
+  EXPECT_EQ(json.find("steal_batch"), std::string::npos);
+  EXPECT_EQ(json.find("\"deque\""), std::string::npos);
 }
 
 TEST(SolveReport, ConfigEchoCarriesGpuDevices) {

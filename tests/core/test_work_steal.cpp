@@ -21,14 +21,6 @@ Subproblem tagged(int id) {
   return sp;
 }
 
-TEST(VictimOrder, RoundTripsThroughStrings) {
-  for (const VictimOrder order :
-       {VictimOrder::kRoundRobin, VictimOrder::kRandom}) {
-    EXPECT_EQ(parse_victim_order(to_string(order)), order);
-  }
-  EXPECT_THROW(parse_victim_order("leftmost"), CheckFailure);
-}
-
 TEST(WorkStealingDeque, OwnerPopsLifo) {
   WorkStealingDeque dq;
   for (int i = 0; i < 4; ++i) dq.push(tagged(i));
@@ -200,153 +192,6 @@ TEST(WorkStealingDeque, ConcurrentPushPopStealLosesAndDuplicatesNothing) {
     EXPECT_EQ(all.count(id), 1u) << "node " << id;
   }
   EXPECT_TRUE(pool.empty());
-}
-
-// --- the lock-free Chase–Lev specialization ------------------------------
-// Same observable semantics as the mutex deque (owner LIFO, thieves FIFO,
-// deterministic quiescent drain), selected via ChaseLevStorage. Nodes must
-// be trivially copyable, so these run over raw integers and a 12-byte
-// multi-word struct standing in for NodeRef.
-
-using ChaseLevU32 =
-    WorkStealingDequeT<std::uint32_t, ChaseLevStorage<std::uint32_t>>;
-
-TEST(ChaseLevDeque, OwnerPopsLifoAndThiefStealsOldest) {
-  ChaseLevU32 dq;
-  for (std::uint32_t i = 0; i < 5; ++i) dq.push(std::uint32_t{i});
-  std::vector<std::uint32_t> loot;
-  EXPECT_EQ(dq.steal(loot, 2), 2u);
-  EXPECT_EQ(loot, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(dq.pop(), 4u);  // the owner's hot end is untouched
-  EXPECT_EQ(dq.pop(), 3u);
-  EXPECT_EQ(dq.pop(), 2u);
-  EXPECT_FALSE(dq.pop().has_value());
-  std::vector<std::uint32_t> empty_loot;
-  EXPECT_EQ(dq.steal(empty_loot, 4), 0u);
-}
-
-TEST(ChaseLevDeque, GrowsPastTheInitialCapacity) {
-  // The initial circular array holds 64 cells; pushing well past that
-  // must grow transparently and preserve full LIFO order.
-  ChaseLevU32 dq;
-  constexpr std::uint32_t kCount = 1000;
-  for (std::uint32_t i = 0; i < kCount; ++i) dq.push(std::uint32_t{i});
-  EXPECT_EQ(dq.size(), static_cast<std::size_t>(kCount));
-  for (std::uint32_t i = kCount; i-- > 0;) {
-    const auto v = dq.pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i);
-  }
-  EXPECT_TRUE(dq.empty());
-}
-
-TEST(ChaseLevDeque, DrainIsFrontToBack) {
-  ChaseLevU32 dq;
-  for (std::uint32_t i = 0; i < 6; ++i) dq.push(std::uint32_t{i});
-  EXPECT_EQ(dq.drain(), (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5}));
-  EXPECT_TRUE(dq.empty());
-  // The deque stays usable after a drain.
-  dq.push(42u);
-  EXPECT_EQ(dq.pop(), 42u);
-}
-
-TEST(ChaseLevDeque, MultiWordNodesRoundTripIntact) {
-  // 12-byte nodes span three atomic words per cell — the NodeRef shape
-  // the steal engine actually stores.
-  struct Node12 {
-    std::uint32_t a, b, c;
-  };
-  static_assert(sizeof(Node12) == 12);
-  WorkStealingDequeT<Node12, ChaseLevStorage<Node12>> dq;
-  for (std::uint32_t i = 0; i < 100; ++i) {
-    dq.push(Node12{i, i * 31 + 7, ~i});
-  }
-  std::vector<Node12> loot;
-  ASSERT_EQ(dq.steal(loot, 3), 3u);
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(loot[i].a, i);
-    EXPECT_EQ(loot[i].b, i * 31 + 7);
-    EXPECT_EQ(loot[i].c, ~i);
-  }
-  for (std::uint32_t i = 100; i-- > 3;) {
-    const auto v = dq.pop();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(v->a, i);
-    ASSERT_EQ(v->b, i * 31 + 7);
-    ASSERT_EQ(v->c, ~i);
-  }
-  EXPECT_TRUE(dq.empty());
-}
-
-TEST(ChaseLevSharded, DistributeAndDrainMatchTheMutexPool) {
-  // ShardedPoolT composes over the Chase–Lev shards unchanged: same
-  // round-robin placement, same deterministic shard-major drain.
-  ShardedPoolT<std::uint32_t, ChaseLevStorage<std::uint32_t>> pool(3);
-  std::vector<std::uint32_t> nodes;
-  for (std::uint32_t i = 0; i < 9; ++i) nodes.push_back(i);
-  pool.distribute(std::move(nodes));
-  EXPECT_EQ(pool.size(), 9u);
-  EXPECT_EQ(pool.drain(),
-            (std::vector<std::uint32_t>{0, 3, 6, 1, 4, 7, 2, 5, 8}));
-  EXPECT_TRUE(pool.empty());
-}
-
-// One owner pushes and pops its own deque at full speed while several
-// thieves hammer steal() on the same deque. Every id must leave exactly
-// once — the observable consequence of Chase–Lev's linearizability — and
-// under TSAN this doubles as a fence-placement audit.
-TEST(ChaseLevDeque, ConcurrentOwnerAndThievesLoseAndDuplicateNothing) {
-  constexpr std::uint32_t kTotal = 20000;
-  constexpr int kThieves = 3;
-  ChaseLevU32 dq;
-  std::atomic<std::uint32_t> consumed{0};
-  std::vector<std::uint32_t> owner_seen;
-  std::vector<std::vector<std::uint32_t>> thief_seen(kThieves);
-
-  auto thief = [&](int id) {
-    std::vector<std::uint32_t> loot;
-    while (consumed.load(std::memory_order_acquire) < kTotal) {
-      loot.clear();
-      if (dq.steal(loot, 4) > 0) {
-        for (const std::uint32_t v : loot) {
-          thief_seen[static_cast<std::size_t>(id)].push_back(v);
-        }
-        consumed.fetch_add(static_cast<std::uint32_t>(loot.size()),
-                           std::memory_order_acq_rel);
-      }
-    }
-  };
-
-  std::vector<std::thread> thieves;
-  for (int id = 0; id < kThieves; ++id) thieves.emplace_back(thief, id);
-
-  // Owner: interleave pushes with pops, then pop until genuinely empty.
-  std::uint32_t next = 0;
-  while (next < kTotal) {
-    for (int burst = 0; burst < 8 && next < kTotal; ++burst) {
-      dq.push(std::uint32_t{next});
-      ++next;
-    }
-    if (auto v = dq.pop()) {
-      owner_seen.push_back(*v);
-      consumed.fetch_add(1, std::memory_order_acq_rel);
-    }
-  }
-  while (auto v = dq.pop()) {
-    owner_seen.push_back(*v);
-    consumed.fetch_add(1, std::memory_order_acq_rel);
-  }
-  // pop() returned empty, so every remaining node is already with a
-  // thief; wait for their counts to land.
-  for (auto& t : thieves) t.join();
-
-  std::multiset<std::uint32_t> all(owner_seen.begin(), owner_seen.end());
-  for (const auto& part : thief_seen) all.insert(part.begin(), part.end());
-  ASSERT_EQ(all.size(), static_cast<std::size_t>(kTotal));
-  for (std::uint32_t id = 0; id < kTotal; ++id) {
-    ASSERT_EQ(all.count(id), 1u) << "node " << id;
-  }
-  EXPECT_TRUE(dq.empty());
 }
 
 }  // namespace

@@ -467,8 +467,10 @@ TEST_P(StealLb2Fuzz, Lb2StealMatchesSerialLb2) {
 
 INSTANTIATE_TEST_SUITE_P(Shards, StealLb2Fuzz, ::testing::Range(0, 4));
 
-// The steal engine's own knob matrix gets a dedicated sweep: victim order
-// and steal batch must never change the proven optimum.
+// The steal engine's one knob, its worker count, gets a dedicated sweep:
+// two workers (one steal target each) and eight (more workers than cores
+// on a small host, so thieves get descheduled mid-steal) must both prove
+// the brute-force optimum.
 class StealKnobFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(StealKnobFuzz, KnobsNeverChangeTheOptimum) {
@@ -487,19 +489,15 @@ TEST_P(StealKnobFuzz, KnobsNeverChangeTheOptimum) {
         fsp::make_instance(family, jobs, machines, seed);
     const fsp::Time expected = fsp::brute_force(inst).makespan;
 
-    for (const char* order : {"round-robin", "random"}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{8}}) {
-        api::SolverConfig config;
-        config.backend = "cpu-steal";
-        config.threads = 4;
-        config.victim_order = core::parse_victim_order(order);
-        config.steal_batch = batch;
-        const api::SolveReport report = api::Solver(config).solve(inst);
-        EXPECT_TRUE(report.proven_optimal)
-            << order << "/" << batch << " on seed " << seed;
-        EXPECT_EQ(report.best_makespan, expected)
-            << order << "/" << batch << " on seed " << seed;
-      }
+    for (const std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
+      api::SolverConfig config;
+      config.backend = "cpu-steal";
+      config.threads = threads;
+      const api::SolveReport report = api::Solver(config).solve(inst);
+      EXPECT_TRUE(report.proven_optimal)
+          << threads << " threads on seed " << seed;
+      EXPECT_EQ(report.best_makespan, expected)
+          << threads << " threads on seed " << seed;
     }
   }
 }
