@@ -12,7 +12,6 @@
 #include "core/protocol.h"
 #include "fsp/taillard.h"
 #include "gpubb/gpu_evaluator.h"
-#include "mtbb/mt_engine.h"
 
 int main(int argc, char** argv) {
   using namespace fsbb;

@@ -2,12 +2,12 @@
 // registered backend — a thin wrapper over the Solver facade, showing that
 // a complete CLI needs no evaluator or engine wiring at all.
 //
-//   $ ./taillard_solver --ta 1 --backend multicore --threads 8
+//   $ ./taillard_solver --ta 1 --backend cpu-steal --threads 8
 //   $ ./taillard_solver --ta 21 --backend gpu-sim --batch 8192 --node-budget 20000
 //   $ ./taillard_solver --jobs 12 --machines 10 --seed 4242
 //
 // Backends: whatever the registry holds (cpu-serial, cpu-threads, callback,
-// gpu-sim, adaptive, multicore, ...). For the hard m = 20 classes use
+// gpu-sim, adaptive, cpu-steal, ...). For the hard m = 20 classes use
 // --node-budget to cap the exploration (they are open research problems!).
 #include <iostream>
 

@@ -12,7 +12,6 @@
 #include "gpubb/gpu_evaluator.h"
 #include "gpubb/multi_device_pool.h"
 #include "gpusim/kernel.h"
-#include "mtbb/mt_engine.h"
 #include "mtbb/steal_engine.h"
 
 namespace fsbb::api {
@@ -44,7 +43,7 @@ void require_bound(const BackendContext& ctx, const std::string& key,
   }
   std::string alternatives = "cpu-serial or callback";
   if (want == Bound::kLb2) {
-    alternatives += " or cpu-threads/multicore/cpu-steal";
+    alternatives += " or cpu-threads/cpu-steal";
   }
   FSBB_CHECK_MSG(false, "backend '" + key + "' supports --bound " + have +
                             " but got " + std::string(to_string(want)) +
@@ -142,27 +141,6 @@ mtbb::MtOptions mt_options(const BackendContext& ctx) {
   o.control = ctx.control;
   return o;
 }
-
-/// The §V shared-pool Pthread baseline, which runs its own search loop.
-class MulticoreBackend final : public Backend {
- public:
-  explicit MulticoreBackend(const BackendContext& ctx) : ctx_(ctx) {}
-
-  std::string name() const override { return "multicore"; }
-
-  core::SolveResult solve() override {
-    return mtbb::mt_solve(*ctx_.instance, *ctx_.data, mt_options(ctx_));
-  }
-
-  core::SolveResult solve_from(std::vector<core::Subproblem> initial,
-                               fsp::Time initial_ub) override {
-    return mtbb::mt_solve_from(*ctx_.instance, *ctx_.data, std::move(initial),
-                               initial_ub, mt_options(ctx_));
-  }
-
- private:
-  BackendContext ctx_;
-};
 
 /// The sharded-pool work-stealing engine (mtbb/steal_engine.h).
 class StealBackend final : public Backend {
@@ -340,14 +318,6 @@ void register_builtins(BackendRegistry& r) {
               ctx.config->threads, /*threshold=*/0);
           return std::make_unique<EngineBackend>("adaptive", ctx, nullptr,
                                                  std::move(eval));
-        });
-  r.add("multicore",
-        "shared-pool Pthread-style B&B over --threads workers (§V "
-        "baseline; lb1 or lb2 per --bound); strategy/batch/time-limit do "
-        "not apply",
-        [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
-          require_bound(ctx, "multicore", {Bound::kLb1, Bound::kLb2});
-          return std::make_unique<MulticoreBackend>(ctx);
         });
   r.add("cpu-steal",
         "work-stealing sharded-pool B&B over --threads workers (one "

@@ -15,12 +15,10 @@
 //                the template for out-of-tree bounds
 //   gpu-sim      the paper's hybrid CPU + simulated-GPU B&B
 //   adaptive     batch-size routed CPU-threads / GPU hybrid (§VI outlook)
-//   multicore    the §V shared-pool Pthread baseline (ignores strategy,
-//                batch and time limit; node counts vary across runs,
-//                results do not)
 //   cpu-steal    work-stealing sharded-pool B&B (one deque per worker,
-//                round-robin oldest-first steals; same caveats as
-//                multicore, plus steal statistics in the result)
+//                round-robin oldest-first steals; ignores strategy, batch
+//                and time limit; node counts vary across runs, results do
+//                not; steal statistics in the result)
 #pragma once
 
 #include <functional>
@@ -49,7 +47,7 @@ struct BackendContext {
   /// Ask engine-driven backends to keep the unexplored pool in the result
   /// when stopping early (SolveResult::remaining_pool) — the distributed
   /// worker checkpoints from it. Backends without a serial pool
-  /// (multicore, cpu-steal) ignore this; probe collects_remaining_pool().
+  /// (cpu-steal) ignore this; probe collects_remaining_pool().
   bool collect_pool_on_stop = false;
 };
 
@@ -74,8 +72,8 @@ class Backend {
 
   /// True when an early stop can hand back the unexplored pool
   /// (BackendContext::collect_pool_on_stop → SolveResult::remaining_pool).
-  /// The distributed worker requires this to checkpoint; the mtbb engines
-  /// (multicore, cpu-steal) scatter their pool across threads and cannot.
+  /// The distributed worker requires this to checkpoint; the mtbb engine
+  /// (cpu-steal) scatters its pool across threads and cannot.
   virtual bool collects_remaining_pool() const { return false; }
 };
 

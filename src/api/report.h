@@ -42,7 +42,7 @@ struct SolveReport {
 
   core::EngineStats stats;
   /// Bounding-operator totals; unset for backends without an evaluator
-  /// seam (multicore, cpu-steal).
+  /// seam (cpu-steal).
   std::optional<core::EvalLedger> eval;
   /// Work-stealing traffic; set only by sharded-pool backends (cpu-steal).
   std::optional<core::StealStats> steal;

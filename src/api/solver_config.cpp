@@ -1,5 +1,6 @@
 #include "api/solver_config.h"
 
+#include <algorithm>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -103,8 +104,11 @@ SolverConfig SolverConfig::from_cli(const CliArgs& args) {
   c.batch_size = get_count_flag(args, "batch", c.batch_size);
   c.threads = get_count_flag(args, "threads", c.threads);
   c.batch_workers = get_count_flag(args, "batch-workers", c.batch_workers);
-  c.block_threads =
-      static_cast<int>(args.get_int_or("block-threads", c.block_threads));
+  // Saturate rather than wrap, so validate() rejects oversized values.
+  c.block_threads = static_cast<int>(std::min<std::size_t>(
+      get_count_flag(args, "block-threads",
+                     static_cast<std::size_t>(c.block_threads)),
+      std::numeric_limits<int>::max()));
   if (const auto v = args.get("placement")) c.placement = parse_placement(*v);
   if (const auto v = args.get("gpu-pool")) {
     c.gpu_pool = gpubb::parse_gpu_pool_mode(*v);
@@ -184,14 +188,28 @@ std::vector<std::string> SolverConfig::to_cli() const {
 
 void SolverConfig::validate() const {
   FSBB_CHECK_MSG(!backend.empty(), "backend key must not be empty");
-  FSBB_CHECK_MSG(threads >= 1, "threads must be >= 1");
+  const std::string max_workers = std::to_string(kMaxWorkerThreads);
+  FSBB_CHECK_MSG(threads >= 1 && threads <= kMaxWorkerThreads,
+                 "--threads must be in [1, " + max_workers + "], got " +
+                     std::to_string(threads));
+  FSBB_CHECK_MSG(batch_workers <= kMaxWorkerThreads,
+                 "--batch-workers must be in [0, " + max_workers + "], got " +
+                     std::to_string(batch_workers));
   FSBB_CHECK_MSG(time_limit_seconds >= 0, "time limit must be >= 0");
   FSBB_CHECK_MSG(!tenant.empty(), "tenant must not be empty");
   FSBB_CHECK_MSG(
       priority == "high" || priority == "normal" || priority == "low",
       "unknown priority '" + priority + "' (high|normal|low)");
-  device_spec_for(*this);     // throws on unknown device keys
-  multi_device_specs(*this);  // throws on malformed --gpu-devices
+  device_spec_for(*this);  // throws on unknown device keys
+  // Throws on malformed --gpu-devices; the block must fit every card.
+  int max_block = std::numeric_limits<int>::max();
+  for (const gpusim::DeviceSpec& spec : multi_device_specs(*this)) {
+    max_block = std::min(max_block, spec.max_threads_per_block);
+  }
+  FSBB_CHECK_MSG(block_threads >= 0 && block_threads <= max_block,
+                 "--block-threads must be 0 (auto) or in [1, " +
+                     std::to_string(max_block) + "], got " +
+                     std::to_string(block_threads));
   if (instance.ta_id == 0) {
     FSBB_CHECK_MSG(instance.jobs >= 1 && instance.machines >= 1,
                    "instance dimensions must be >= 1");

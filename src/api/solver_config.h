@@ -36,6 +36,11 @@ Bound parse_bound(const std::string& text);  ///< "lb0" | "lb1" | "lb2"
 core::SelectionStrategy parse_strategy(const std::string& text);
 gpubb::PlacementPolicy parse_placement(const std::string& text);
 
+/// Upper limit on --threads and --batch-workers. Each worker is one OS
+/// thread, and the config also arrives over fsbb_serve's socket, so a
+/// request must not be able to ask for an unbounded number of them.
+inline constexpr std::size_t kMaxWorkerThreads = 256;
+
 /// Which problem instance(s) the CLI front ends solve.
 struct InstanceSpec {
   /// > 0 selects the published Taillard instance ta<id> (1..120) and the
@@ -58,13 +63,14 @@ std::vector<fsp::Instance> make_instances(const InstanceSpec& spec);
 /// machine's detected hardware concurrency.
 struct SolverConfig {
   /// Backend registry key: cpu-serial, cpu-threads, callback, gpu-sim,
-  /// adaptive, multicore (api/backend_registry.h has the authoritative list).
+  /// adaptive, cpu-steal (api/backend_registry.h has the authoritative
+  /// list).
   std::string backend = "cpu-serial";
   Bound bound = Bound::kLb1;
   core::SelectionStrategy strategy = core::SelectionStrategy::kBestFirst;
   /// Children accumulated per bounding batch; 0 = the backend's default.
   std::size_t batch_size = 0;
-  /// Host worker threads for cpu-threads / adaptive / multicore. Fixed
+  /// Host worker threads for cpu-threads / adaptive / cpu-steal. Fixed
   /// default (not hardware concurrency) so reports are machine-stable.
   std::size_t threads = 4;
   /// Concurrent jobs on the Solver's internal service (solve_many and
@@ -123,8 +129,9 @@ struct SolverConfig {
   /// The config as `--flag=value` tokens; from_cli(parse(to_cli())) == *this.
   std::vector<std::string> to_cli() const;
 
-  /// Checks enum-free fields (device key, thread counts); backend existence
-  /// is checked by the registry at Solver construction.
+  /// Checks enum-free fields (device keys, thread counts against
+  /// kMaxWorkerThreads, block size against the devices' block limit);
+  /// backend existence is checked by the registry at Solver construction.
   void validate() const;
 };
 

@@ -62,9 +62,9 @@ struct EngineStats {
   std::uint64_t ub_updates = 0;  ///< incumbent improvements
   double wall_seconds = 0;       ///< total solve time
   /// Time inside the bounding operator (BoundEvaluator::evaluate and its
-  /// sibling/resident seams). The threaded engines (multicore, cpu-steal)
-  /// time each expansion's bounding loop per worker and report the mean
-  /// over workers, so bounding_fraction() stays in [0, 1].
+  /// sibling/resident seams). The threaded engine (cpu-steal) times each
+  /// expansion's bounding loop per worker and reports the mean over
+  /// workers, so bounding_fraction() stays in [0, 1].
   double bounding_seconds = 0;
   Time initial_ub = 0;
 

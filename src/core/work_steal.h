@@ -1,5 +1,5 @@
-// Sharded work-stealing pools — the scalable alternative to the single
-// mutex-guarded Pool of the §V multicore baseline.
+// Sharded work-stealing pools — the scalable alternative to one
+// mutex-guarded Pool shared by every thread.
 //
 // Each worker owns one deque-backed local pool: it pushes and pops at the
 // back (LIFO — dive toward leaves, hot caches), while thieves steal from

@@ -75,8 +75,8 @@ class Coordinator {
  public:
   /// `config` is the per-shard solve configuration (backend, bound, …);
   /// its instance spec must describe exactly one instance and its backend
-  /// must be able to checkpoint (engine backends; not multicore/cpu-steal
-  /// — the worker enforces this too).
+  /// must be able to checkpoint (engine backends; not cpu-steal — the
+  /// worker enforces this too).
   Coordinator(fsp::Instance instance, api::SolverConfig config,
               CoordinatorOptions options);
 

@@ -84,7 +84,6 @@
 #include "gpubb/offload_model.h"      // IWYU pragma: export
 #include "gpubb/placement.h"          // IWYU pragma: export
 
-#include "mtbb/mt_engine.h"       // IWYU pragma: export
 #include "mtbb/multicore_model.h" // IWYU pragma: export
 #include "mtbb/steal_engine.h"    // IWYU pragma: export
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/matrix.h"
@@ -22,6 +23,10 @@ using Time = std::int32_t;
 /// Immutable problem instance: the processing-time matrix plus metadata.
 class Instance {
  public:
+  /// Most jobs or machines an instance may have: JobId and the
+  /// machine-couple indices are int16.
+  static constexpr int kMaxDimension = std::numeric_limits<JobId>::max();
+
   /// `pt` is job-major: pt(j, k) = processing time of job j on machine k.
   /// Throws CheckFailure on empty dimensions, more than 32767 jobs or
   /// machines (JobId and the machine-couple indices are int16), negative

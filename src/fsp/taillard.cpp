@@ -80,6 +80,13 @@ std::span<const TaillardSpec> taillard_registry() { return registry(); }
 Instance make_taillard_instance(int jobs, int machines, std::int32_t time_seed,
                                 std::string name) {
   FSBB_CHECK(jobs >= 1 && machines >= 1);
+  // Instance would refuse these too, but only after allocating the matrix.
+  FSBB_CHECK_MSG(jobs <= Instance::kMaxDimension &&
+                     machines <= Instance::kMaxDimension,
+                 "instance " + std::to_string(jobs) + "x" +
+                     std::to_string(machines) + " exceeds the limit of " +
+                     std::to_string(Instance::kMaxDimension) +
+                     " jobs or machines");
   Lcg31 rng(time_seed);
   Matrix<Time> pt(static_cast<std::size_t>(jobs),
                   static_cast<std::size_t>(machines));

@@ -4,17 +4,22 @@
 #include <chrono>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "common/mutex.h"
 #include "common/timer.h"
 #include "core/audit.h"
 #include "core/node_arena.h"
+#include "core/subproblem.h"
 #include "core/work_steal.h"
 #include "fsp/lb1.h"
-#include "mtbb/branch_expand.h"
+#include "fsp/lb2.h"
+#include "fsp/makespan.h"
+#include "fsp/neh.h"
 
 namespace fsbb::mtbb {
 namespace {
@@ -30,6 +35,71 @@ constexpr auto kNap = std::chrono::microseconds(100);
 /// Taillard 20x5 set no faster at 4 threads (README, "One steal
 /// configuration").
 constexpr std::size_t kStealBatch = 4;
+
+/// Best complete schedule seen while expanding one node.
+struct BestLeaf {
+  fsp::Time makespan = std::numeric_limits<fsp::Time>::max();
+  std::vector<fsp::JobId> perm;
+};
+
+/// Branches the node behind `node.slot`, bounds every incomplete child
+/// with the bound context (fsp::Lb1BoundContext or fsp::Lb2BoundContext)
+/// into `lbs`, appends the children below `ub_snapshot` to `survivors`
+/// (cleared first) and accumulates the generated/evaluated/pruned/leaves
+/// counters and the bounding time into `stats`. The context is bound to
+/// the parent once; each child then costs an O(m) front extension plus a
+/// remaining-jobs-only sweep, the same sibling-batch discipline the serial
+/// engine gets through BoundEvaluator::evaluate_siblings. All children are
+/// bounded before any survivor is allocated, so the timed region is the
+/// bound context alone. Children are allocated on `lane`; the caller still
+/// owns (and must release) the parent slot. Returns the best complete
+/// child, if any.
+template <typename BoundContext>
+BestLeaf expand_node(const fsp::Instance& inst, core::NodeArena& arena,
+                     std::size_t lane, const NodeRef& node,
+                     fsp::Time ub_snapshot, BoundContext& ctx,
+                     core::EngineStats& stats, std::vector<fsp::Time>& lbs,
+                     std::vector<NodeRef>& survivors) {
+  survivors.clear();
+  BestLeaf best;
+  const auto perm = arena.perm(node.slot);
+  const auto d = static_cast<std::size_t>(node.depth);
+  const int r = inst.jobs() - node.depth;
+  if (r == 1) {
+    // The single child is complete and equals the parent's permutation
+    // (the one free job is already in place); its makespan is exact.
+    ++stats.generated;
+    ++stats.leaves;
+    const fsp::Time ms = fsp::makespan(inst, perm);
+    if (ms < best.makespan) {
+      best.makespan = ms;
+      best.perm.assign(perm.begin(), perm.end());
+    }
+    return best;
+  }
+  const auto children = static_cast<std::size_t>(r);
+  lbs.resize(children);
+  {
+    const WallTimer bound_timer;
+    ctx.set_parent(perm.first(d));
+    for (std::size_t i = 0; i < children; ++i) {
+      lbs[i] = ctx.bound_child(perm[d + i]);
+    }
+    stats.bounding_seconds += bound_timer.seconds();
+  }
+  stats.generated += children;
+  stats.evaluated += children;
+  for (std::size_t i = 0; i < children; ++i) {
+    if (lbs[i] < ub_snapshot) {
+      const core::NodeArena::Handle c = arena.allocate(lane);
+      core::write_child_perm(perm, d, i, arena.perm(c));
+      survivors.push_back(NodeRef{lbs[i], node.depth + 1, c});
+    } else {
+      ++stats.pruned;
+    }
+  }
+  return best;
+}
 
 /// Everything the workers share. The hot path (pop/push/prune) only
 /// touches the worker's own shard and two atomics; permutations live in
@@ -120,7 +190,7 @@ std::optional<NodeRef> try_steal(Shared& sh, std::size_t id,
   return std::nullopt;
 }
 
-/// BoundContext is fsp::Lb1BoundContext or detail::Lb2BoundContext — the
+/// BoundContext is fsp::Lb1BoundContext or fsp::Lb2BoundContext — the
 /// search loop is byte-for-byte the same either way; only bound_child's
 /// arithmetic differs.
 template <typename BoundContext>
@@ -189,7 +259,7 @@ void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
     }
     ++local.branched;
 
-    detail::BestLeaf best_leaf = detail::expand_node(
+    BestLeaf best_leaf = expand_node(
         inst, sh.arena, id, *node, ub_snapshot, ctx, local, lbs, survivors);
     sh.arena.release(node->slot, id);
 
@@ -321,7 +391,7 @@ core::SolveResult run(const fsp::Instance& inst,
         // allocation and no sharing on the hot path.
         workers.emplace_back([&inst, &data, &sh, i, lb2 = sh.lb2] {
           worker(inst, data, sh, i,
-                 detail::Lb2BoundContext(inst, data, *lb2));
+                 fsp::Lb2BoundContext(inst, data, *lb2));
         });
       } else {
         workers.emplace_back([&inst, &data, &sh, i] {
@@ -362,6 +432,35 @@ core::SolveResult run(const fsp::Instance& inst,
   return result;
 }
 
+/// The root-solve prologue: the starting incumbent (NEH unless
+/// overridden) with its seed schedule, plus the bounded root node.
+struct RootStart {
+  fsp::Time ub;
+  std::vector<fsp::JobId> seed_perm;
+  Subproblem root;
+};
+
+/// `lb2` non-null bounds the root with LB2, so the root's bound matches
+/// what the workers will compute for its descendants.
+RootStart make_root_start(const fsp::Instance& inst,
+                          const fsp::LowerBoundData& data,
+                          const std::optional<fsp::Time>& initial_ub,
+                          const fsp::Lb2Data* lb2) {
+  RootStart start;
+  if (initial_ub.has_value()) {
+    start.ub = *initial_ub;
+  } else {
+    fsp::NehResult neh = fsp::neh(inst);
+    start.ub = neh.makespan;
+    start.seed_perm = std::move(neh.permutation);
+  }
+  start.root = Subproblem::root(inst.jobs());
+  start.root.lb =
+      lb2 ? fsp::lb2_from_prefix(inst, data, *lb2, start.root.prefix())
+          : fsp::lb1_from_prefix(inst, data, start.root.prefix());
+  return start;
+}
+
 }  // namespace
 
 core::SolveResult steal_solve(const fsp::Instance& inst,
@@ -371,8 +470,7 @@ core::SolveResult steal_solve(const fsp::Instance& inst,
   if (options.bound == MtBound::kLb2) {
     lb2 = std::make_unique<fsp::Lb2Data>(fsp::Lb2Data::build(inst));
   }
-  detail::RootStart start =
-      detail::make_root_start(inst, data, options.initial_ub, lb2.get());
+  RootStart start = make_root_start(inst, data, options.initial_ub, lb2.get());
   std::vector<Subproblem> initial;
   initial.push_back(std::move(start.root));
   return run(inst, data, std::move(initial), start.ub, options,

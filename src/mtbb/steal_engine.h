@@ -1,5 +1,5 @@
-// Work-stealing multicore B&B — the sharded-pool successor to the §V
-// shared-pool baseline (mt_engine.h).
+// Work-stealing multicore B&B — the repo's threaded search loop (the
+// paper's §V "multithreaded CPU-based execution").
 //
 // Each of the N workers owns one mutex-guarded deque of 12-byte NodeRef
 // handles (core::ShardedPoolT): it pushes and pops LIFO locally
@@ -13,18 +13,43 @@
 // re-reads after a full fence before exiting, so no node can be in
 // transit past it.
 //
-// Like the baseline, the search is exact — the optimum is deterministic,
-// node counts vary across runs because incumbent updates race.
+// The search is exact and deterministic in its *result* (the optimum);
+// node counts vary slightly across runs because incumbent updates race.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "core/engine.h"
+#include "core/search_control.h"
 #include "fsp/instance.h"
 #include "fsp/lb_data.h"
-#include "mtbb/mt_engine.h"
 
 namespace fsbb::mtbb {
+
+/// Which lower bound the workers compute per child, both through the
+/// incremental sibling contexts (fsp::Lb1BoundContext /
+/// fsp::Lb2BoundContext): one set_parent per popped node, one O(m) front
+/// extension plus a compacted Johnson sweep per child.
+enum class MtBound {
+  kLb1,
+  kLb2,
+};
+
+/// Multi-threaded solve configuration.
+struct MtOptions {
+  std::size_t threads = 4;
+  /// Lower bound the workers compute per child.
+  MtBound bound = MtBound::kLb1;
+  /// Starting incumbent; NEH if unset.
+  std::optional<fsp::Time> initial_ub;
+  /// Stop after this many branched nodes across all workers (0 = solve).
+  std::uint64_t node_budget = 0;
+  /// Cooperative cancellation / deadline / progress block (not owned; may
+  /// be null). Every worker polls it once per node expansion.
+  core::SearchControl* control = nullptr;
+};
 
 /// Solves from the root with `options.threads` work-stealing workers.
 /// The result carries merged StealStats in SolveResult::steal.

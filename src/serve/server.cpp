@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/backend_registry.h"
 #include "common/check.h"
 #include "common/matrix.h"
 #include "core/search_control.h"
@@ -50,6 +51,19 @@ api::SolverConfig config_from_cli_tokens(
                                       argv.data());
 }
 
+/// The serve-side instance size policy: rejects a jobs × machines
+/// instance whose LowerBoundData would exceed kMaxLbDataCells. Runs on
+/// the requested dimensions, before any matrix is allocated.
+void check_instance_size(std::uint64_t jobs, std::uint64_t machines) {
+  const std::uint64_t pairs = machines * (machines - 1) / 2;
+  FSBB_CHECK_MSG(
+      pairs == 0 || jobs <= kMaxLbDataCells / pairs,
+      "instance " + std::to_string(jobs) + "x" + std::to_string(machines) +
+          " needs " + std::to_string(jobs) + "*" + std::to_string(pairs) +
+          " bound-table cells (jobs * machine pairs); the serve limit is " +
+          std::to_string(kMaxLbDataCells));
+}
+
 /// Optional top-level "instance" object on submit: an explicit job-major
 /// processing-time matrix replacing the generator spec in the cli
 /// payload. Serving real workloads means accepting real matrices — and
@@ -63,6 +77,7 @@ fsp::Instance instance_from_json(const JsonValue& value) {
   const auto& rows = ptm->as_array();
   FSBB_CHECK_MSG(!rows.empty(), "explicit instance needs >= 1 job row");
   const std::size_t machines = rows.front().as_array().size();
+  check_instance_size(rows.size(), machines);
   Matrix<fsp::Time> pt(rows.size(), machines);
   for (std::size_t j = 0; j < rows.size(); ++j) {
     const auto& row = rows[j].as_array();
@@ -270,6 +285,8 @@ void Client::submit(const JsonValue& request) {
   std::string charged_tenant;
   try {
     api::SolverConfig config = config_from_cli_tokens(cli_tokens(*cli));
+    // An unknown backend is refused even when the cache could answer.
+    api::BackendRegistry::global().require(config.backend);
     // Top-level request fields override the cli payload — transports that
     // stamp tenancy per connection need not rewrite the flag string.
     if (const JsonValue* t = request.find("tenant")) {
@@ -290,16 +307,19 @@ void Client::submit(const JsonValue& request) {
     if (const JsonValue* explicit_inst = request.find("instance")) {
       parsed = instance_from_json(*explicit_inst);
     } else {
-      std::vector<fsp::Instance> instances =
-          api::make_instances(config.instance);
-      if (instances.size() != 1) {
-        reject(id,
-               "submit solves exactly one instance per job (got --count " +
-                   std::to_string(instances.size()) + "); submit one job "
-                   "per instance instead");
-        return;
+      // Checked on the spec, before generating anything.
+      const api::InstanceSpec& spec = config.instance;
+      if (spec.ta_id == 0) {
+        if (spec.count != 1) {
+          reject(id, "submit solves exactly one instance per job (got "
+                     "--count " + std::to_string(spec.count) +
+                         "); submit one job per instance instead");
+          return;
+        }
+        check_instance_size(static_cast<std::uint64_t>(spec.jobs),
+                            static_cast<std::uint64_t>(spec.machines));
       }
-      parsed = std::move(instances.front());
+      parsed = std::move(api::make_instances(spec).front());
     }
     fsp::Instance inst = std::move(*parsed);
 

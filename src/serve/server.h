@@ -14,7 +14,8 @@
 //    "tenant":"acme","priority":"low","cache":"use"}
 //   {"op":"metrics"}
 //
-// On submit the Client runs, in order: config parsing → result-cache
+// On submit the Client runs, in order: config parsing → instance size
+// policy (kMaxLbDataCells, checked before any matrix is built) → result-cache
 // consultation (exact hit answers immediately; a cached-but-unproven
 // incumbent becomes the job's root bound = warm start) → admission
 // control (per-tenant quota, priority-scaled queue ceiling; rejections
@@ -44,6 +45,12 @@
 #include "serve/result_cache.h"
 
 namespace fsbb::serve {
+
+/// Largest instance a submit may ask for, in fsp::LowerBoundData cells:
+/// n·m(m−1)/2, one per job and machine couple. 2^22 is 44× the 500×20
+/// Taillard class; the int16 JobId range alone would let a 2×32767
+/// request make a worker build ~6.4 GB of bound tables.
+inline constexpr std::uint64_t kMaxLbDataCells = std::uint64_t{1} << 22;
 
 struct ServerOptions {
   /// Concurrent solve jobs (the SolverService worker pool).

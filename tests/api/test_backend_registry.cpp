@@ -17,8 +17,7 @@ namespace {
 TEST(BackendRegistry, BuiltinsArePresentAndSorted) {
   const std::vector<std::string> keys = BackendRegistry::global().keys();
   for (const char* expected : {"adaptive", "callback", "cpu-serial",
-                               "cpu-steal", "cpu-threads", "gpu-sim",
-                               "multicore"}) {
+                               "cpu-steal", "cpu-threads", "gpu-sim"}) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), expected), keys.end())
         << expected;
   }
@@ -168,7 +167,7 @@ TEST(BackendAgreement, EveryBoundProvesTheSameOptimum) {
 TEST(BackendAgreement, Lb1OnlyBackendsRejectOtherBounds) {
   const fsp::Instance inst = fsp::make_taillard_instance(6, 3, 5, "lb1only");
   for (const std::string backend :
-       {"cpu-threads", "gpu-sim", "adaptive", "multicore", "cpu-steal"}) {
+       {"cpu-threads", "gpu-sim", "adaptive", "cpu-steal"}) {
     SolverConfig config;
     config.backend = backend;
     config.bound = Bound::kLb0;

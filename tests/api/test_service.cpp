@@ -108,8 +108,8 @@ TEST(SolverService, SubmitRejectsMisconfigurationSynchronously) {
 TEST(SolverService, FailedJobCarriesErrorAndRethrowsOriginalType) {
   SolverService service(SolverService::Options{1});
   SolverConfig config;
-  config.backend = "multicore";
-  config.bound = Bound::kLb0;  // lb1-only backend: fails at execution
+  config.backend = "cpu-steal";
+  config.bound = Bound::kLb0;  // lb1|lb2-only backend: fails at execution
   SolveHandle handle = service.submit(small_instance(), config);
   const SolveOutcome& outcome = handle.wait();
   EXPECT_FALSE(outcome.ok());
@@ -222,7 +222,7 @@ TEST(SolverService, EightConcurrentJobsMultiplexAndAllAgree) {
 
   // Mixed backends on the same instance, all in flight together.
   const std::vector<std::string> backends = {
-      "cpu-serial", "cpu-threads", "cpu-steal",  "multicore",
+      "cpu-serial", "cpu-threads", "cpu-steal",  "callback",
       "gpu-sim",    "adaptive",    "cpu-serial", "cpu-steal"};
   std::vector<SolveHandle> handles;
   for (const std::string& backend : backends) {

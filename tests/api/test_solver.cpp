@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "api/solver.h"
@@ -61,9 +63,9 @@ TEST(SolverConfig, EveryFieldRoundTripsThroughCli) {
 
 TEST(SolverConfig, FromCliParsesIndividualFlags) {
   const SolverConfig c = SolverConfig::from_cli(parse_tokens(
-      {"--backend", "multicore", "--bound=lb0", "--strategy", "depth-first",
+      {"--backend", "cpu-steal", "--bound=lb0", "--strategy", "depth-first",
        "--placement", "shared-JM+PTM", "--ub", "777", "--ta", "3"}));
-  EXPECT_EQ(c.backend, "multicore");
+  EXPECT_EQ(c.backend, "cpu-steal");
   EXPECT_EQ(c.bound, Bound::kLb0);
   EXPECT_EQ(c.strategy, core::SelectionStrategy::kDepthFirst);
   EXPECT_EQ(c.placement, gpubb::PlacementPolicy::kSharedJmPtm);
@@ -81,6 +83,31 @@ TEST(SolverConfig, RejectsBadEnumsAndDevices) {
                CheckFailure);
   EXPECT_THROW(SolverConfig::from_cli(parse_tokens({"--device", "h100"})),
                CheckFailure);
+
+  // Out-of-range counts fail in validate(), naming the flag, before any
+  // thread or device exists. The block limit is the smallest card's
+  // max_threads_per_block: 1024 fits a c2050 but not a c1060 (512).
+  const std::vector<std::pair<std::vector<std::string>, std::string>>
+      out_of_range = {
+          {{"--threads", "257"}, "--threads must be in [1, 256]"},
+          {{"--batch-workers", "257"}, "--batch-workers must be in [0, 256]"},
+          {{"--block-threads", "-5"}, "--block-threads must be >= 0"},
+          {{"--block-threads", "5000"}, "--block-threads must be 0 (auto)"},
+          {{"--block-threads", "1024", "--gpu-devices", "2:c2050,c1060"},
+           "in [1, 512], got 1024"},
+      };
+  for (const auto& [tokens, message] : out_of_range) {
+    try {
+      SolverConfig::from_cli(parse_tokens(tokens));
+      ADD_FAILURE() << "accepted " << message;
+    } catch (const CheckFailure& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(SolverConfig::from_cli(
+      parse_tokens({"--threads", "256", "--batch-workers", "256",
+                    "--block-threads", "1024"})));
 }
 
 TEST(SolverConfig, MakeInstancesHonorsCountAndSeeds) {
@@ -109,16 +136,20 @@ TEST(SolverConfig, MakeInstancesHonorsCountAndSeeds) {
 }
 
 TEST(Solver, UnknownBackendFailsAtConstructionNamingTheRegistry) {
-  SolverConfig config;
-  config.backend = "quantum";
-  try {
-    const Solver solver(config);
-    FAIL() << "expected CheckFailure";
-  } catch (const CheckFailure& e) {
-    const std::string what = e.what();
-    EXPECT_NE(what.find("quantum"), std::string::npos) << what;
-    EXPECT_NE(what.find("cpu-serial"), std::string::npos)
-        << "error should list registered keys: " << what;
+  // "multicore" was the retired shared-pool engine; it is unknown now.
+  for (const std::string key : {"quantum", "multicore"}) {
+    SolverConfig config;
+    config.backend = key;
+    try {
+      const Solver solver(config);
+      FAIL() << "expected CheckFailure for " << key;
+    } catch (const CheckFailure& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("unknown backend '" + key + "'"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find("cpu-serial"), std::string::npos)
+          << "error should list registered keys: " << what;
+    }
   }
 }
 
@@ -169,9 +200,9 @@ TEST(Solver, ReportJsonCarriesTheStructuredFields) {
   EXPECT_NE(json.find("\"initial_ub\":null"), std::string::npos);
 }
 
-TEST(Solver, MulticoreReportHasNoEvaluatorLedger) {
+TEST(Solver, StealReportHasNoEvaluatorLedger) {
   SolverConfig config;
-  config.backend = "multicore";
+  config.backend = "cpu-steal";
   config.threads = 2;
   const SolveReport report = Solver(config).solve(small_instance());
   EXPECT_FALSE(report.eval.has_value());

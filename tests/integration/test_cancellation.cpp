@@ -187,30 +187,28 @@ TEST(Cancellation, GpuPoolModesStopCleanlyOnCancelDeadlineAndBudget) {
 }
 
 TEST(Cancellation, CanceledConcurrentEnginesAgreeOnTheReason) {
-  // Both mtbb engines propagate one latched reason to every worker: run
-  // them with 4 workers, cancel mid-flight, and check the single reason.
+  // The work-stealing engine propagates one latched reason to every
+  // worker: run it with 4 workers, cancel mid-flight, and check the
+  // single reason.
   const fsp::Instance inst = big_instance();
   SolverService service(SolverService::Options{2});
-  for (const std::string backend : {"multicore", "cpu-steal"}) {
-    SolverConfig config = config_for(backend, inst);
-    config.threads = 4;
-    std::atomic<bool> progressed{false};
-    SolveHandle handle = service.submit(
-        inst, config, [&progressed](const ProgressEvent& event) {
-          if (event.kind != ProgressEvent::Kind::kFinished) {
-            progressed.store(true);
-          }
-        });
-    while (!progressed.load() && !handle.done()) {
-      std::this_thread::yield();
-    }
-    handle.cancel();
-    const SolveReport report = handle.wait_report();
-    EXPECT_EQ(report.stop_reason, core::StopReason::kCanceled) << backend;
-    EXPECT_NE(report.to_json().find("\"stop_reason\":\"canceled\""),
-              std::string::npos)
-        << backend;
+  SolverConfig config = config_for("cpu-steal", inst);
+  config.threads = 4;
+  std::atomic<bool> progressed{false};
+  SolveHandle handle = service.submit(
+      inst, config, [&progressed](const ProgressEvent& event) {
+        if (event.kind != ProgressEvent::Kind::kFinished) {
+          progressed.store(true);
+        }
+      });
+  while (!progressed.load() && !handle.done()) {
+    std::this_thread::yield();
   }
+  handle.cancel();
+  const SolveReport report = handle.wait_report();
+  EXPECT_EQ(report.stop_reason, core::StopReason::kCanceled);
+  EXPECT_NE(report.to_json().find("\"stop_reason\":\"canceled\""),
+            std::string::npos);
 }
 
 }  // namespace

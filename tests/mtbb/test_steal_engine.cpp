@@ -123,19 +123,16 @@ TEST(StealEngine, StatsAccumulateAcrossWorkers) {
 }
 
 TEST(StealEngine, BoundingSecondsIsAMeasuredShareOfWall) {
-  // Both threaded engines time each expansion's bounding loop and report
-  // the per-worker mean: a real share of the solve, not wall time itself.
+  // The engine times each expansion's bounding loop and reports the
+  // per-worker mean: a real share of the solve, not wall time itself.
   const fsp::Instance inst = random_instance(8, 4, 12);
   const auto data = fsp::LowerBoundData::build(inst);
   MtOptions options;
   options.threads = 4;
   options.initial_ub = inst.total_work();  // force real branching
-  const core::SolveResult shared = mt_solve(inst, data, options);
-  const core::SolveResult stolen = steal_solve(inst, data, options);
-  for (const core::SolveResult* r : {&shared, &stolen}) {
-    EXPECT_GT(r->stats.bounding_seconds, 0.0);
-    EXPECT_LT(r->stats.bounding_seconds, r->stats.wall_seconds);
-  }
+  const core::SolveResult r = steal_solve(inst, data, options);
+  EXPECT_GT(r.stats.bounding_seconds, 0.0);
+  EXPECT_LT(r.stats.bounding_seconds, r.stats.wall_seconds);
 }
 
 TEST(StealEngine, MultiWorkerRunsActuallySteal) {

@@ -94,6 +94,15 @@ TEST(ServeClient, SubmitValidationRejectsWithReasons) {
   client->handle_line(
       R"({"op":"submit","id":"a","cli":"--jobs 4 --machines 3 --count 2"})");
   out.wait_for("exactly one instance per job");
+  // Worker counts are capped before any thread exists.
+  client->handle_line(
+      R"({"op":"submit","id":"a","cli":"--backend cpu-steal --threads 100000"})");
+  out.wait_for("--threads must be in [1, 256], got 100000");
+  client->handle_line(R"({"op":"submit","id":"a","cli":"--block-threads 5000"})");
+  out.wait_for("--block-threads must be 0 (auto) or in [1, 1024], got 5000");
+  // The retired shared-pool backend is an unknown key like any other.
+  client->handle_line(R"({"op":"submit","id":"a","cli":"--backend multicore"})");
+  out.wait_for("unknown backend 'multicore' (registered: ");
   // None of these reached the service or charged a quota.
   EXPECT_EQ(server.service().jobs_submitted(), 0u);
   EXPECT_EQ(server.admission().active_jobs("anonymous"), 0u);
@@ -187,6 +196,38 @@ TEST(ServeClient, InstanceBeyondJobIdRangeRejectsAndClientKeepsSolving) {
   EXPECT_EQ(rejected.string_or("id", ""), "huge");
   EXPECT_NE(rejected.string_or("error", "").find("40000 jobs"),
             std::string::npos);
+
+  // Inside the JobId range but over the bound-table policy: 2 x 32767
+  // (~131 KB on the wire) would need 2 * 536,821,761 LowerBoundData
+  // cells. Refused on the row count, before any matrix is built; the
+  // generator spec is refused the same way from a 40-byte request.
+  std::string row = "[1";
+  for (int k = 1; k < 32767; ++k) row += ",1";
+  row += "]";
+  client->handle_line(R"({"op":"submit","id":"wide","cli":"","instance":)"
+                      R"({"ptm":[)" + row + "," + row + "]}}");
+  const JsonValue wide = JsonValue::parse(out.wait_for("\"id\":\"wide\""));
+  EXPECT_EQ(wide.string_or("event", ""), "rejected");
+  EXPECT_NE(wide.string_or("error", "").find("serve limit is 4194304"),
+            std::string::npos)
+      << wide.string_or("error", "");
+  client->handle_line(
+      R"({"op":"submit","id":"gen","cli":"--jobs 2 --machines 32767"})");
+  const JsonValue gen = JsonValue::parse(out.wait_for("\"id\":\"gen\""));
+  EXPECT_EQ(gen.string_or("event", ""), "rejected");
+  EXPECT_NE(gen.string_or("error", "").find("serve limit is 4194304"),
+            std::string::npos)
+      << gen.string_or("error", "");
+  // No machine pairs, so within the cell limit, but past the JobId range:
+  // the generator refuses it before allocating the matrix.
+  client->handle_line(
+      R"({"op":"submit","id":"tall","cli":"--jobs 1000000 --machines 1"})");
+  const JsonValue tall = JsonValue::parse(out.wait_for("\"id\":\"tall\""));
+  EXPECT_EQ(tall.string_or("event", ""), "rejected");
+  EXPECT_NE(tall.string_or("error", "").find("exceeds the limit of 32767"),
+            std::string::npos)
+      << tall.string_or("error", "");
+  EXPECT_EQ(server.service().jobs_submitted(), 0u);
 
   client->handle_line(
       R"({"op":"submit","id":"next","cli":"--backend cpu-serial",)"
