@@ -1,15 +1,17 @@
 // Work-stealing self-scaling — the Fig. 5-style companion for the
 // cpu-steal engine.
 //
-// The engine proves the same five Taillard 20x5 instances (ta002, ta003,
-// ta004, ta007, ta009) from the root at 1, 2, 4 and 8 threads, starting
-// at their published optima. With the incumbent already optimal nothing
-// ever improves it, so every run explores the same tree (every node whose
-// bound is below the optimum) whatever the thread count and the thread
-// interleaving: 172,140 branched nodes per cell, checked, and the
-// wall-clock ratio is a pure engine-scaling measurement. A root start puts
-// the whole tree on one worker's deque, so every other worker must steal
-// its first node: the steal columns are nonzero from 2 threads on.
+// The engine proves four Taillard instances (ta005 from the 20x5 class,
+// ta014, ta015 and ta016 from the 20x10 class) from the root at 1, 2, 4
+// and 8 threads, starting at their published optima, with the
+// bidirectional branching cpu-steal runs under LB1. With the incumbent
+// already optimal nothing ever improves it, and the end choice at a node
+// depends only on the node and the incumbent, so every run explores the
+// same tree whatever the thread count and the thread interleaving: 33,144
+// branched nodes per cell, checked, and the wall-clock ratio is a pure
+// engine-scaling measurement. A root start puts the whole tree on one
+// worker's deque, so every other worker must steal its first node: the
+// steal columns are nonzero from 2 threads on.
 //
 //   $ bench_steal_scaling
 #include <cstdint>
@@ -29,11 +31,10 @@ struct Proof {
   fsbb::fsp::Time optimum;  ///< published (Taillard 1993)
 };
 
-constexpr Proof kProofs[] = {
-    {2, 1359}, {3, 1081}, {4, 1293}, {7, 1234}, {9, 1230}};
+constexpr Proof kProofs[] = {{5, 1235}, {14, 1377}, {15, 1419}, {16, 1397}};
 
-/// Branched nodes of the five proofs: 8 + 80,063 + 33,284 + 1 + 58,784.
-constexpr std::uint64_t kTreeNodes = 172140;
+/// Branched nodes of the four proofs: 1,926 + 8,539 + 21,388 + 1,291.
+constexpr std::uint64_t kTreeNodes = 33144;
 
 }  // namespace
 
@@ -41,10 +42,12 @@ int main() {
   using namespace fsbb;
 
   std::cout << "work-stealing multicore B&B self-scaling\n"
-            << "ta002/3/4/7/9 (20x5) proved from the root at their published "
-               "optima; seconds summed over the five proofs\n\n";
+            << "ta005 (20x5), ta014/15/16 (20x10) proved from the root at "
+               "their published optima; seconds summed over the four "
+               "proofs\n\n";
 
-  AsciiTable table("same trees, same lb1 bounding — engine scaling only");
+  AsciiTable table(
+      "same trees, same two-sided lb1 bounding — engine scaling only");
   table.set_header({"threads", "work-steal s", "branched", "steals (ok/try)",
                     "nodes stolen"});
 

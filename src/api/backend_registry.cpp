@@ -26,6 +26,16 @@ std::size_t default_batch(const std::string& key) {
   return 1;
 }
 
+// Under LB1, cpu-serial and cpu-threads branch at both ends of the
+// permutation (cpu-steal does so by itself whenever it bounds with LB1);
+// callback, the device pools and LB0/LB2 keep forward branching (the
+// device lanes and the LB2 context are prefix-only).
+core::Branching branching_for(const std::string& key, Bound bound) {
+  const bool host = key == "cpu-serial" || key == "cpu-threads";
+  return host && bound == Bound::kLb1 ? core::Branching::kBidirectional
+                                      : core::Branching::kForward;
+}
+
 // The explicit reject-or-run decision per (backend, bound) combination:
 // every parallel backend names exactly the bounds it implements, and a
 // rejected combo says what was asked, what the backend supports, and
@@ -119,9 +129,9 @@ class EngineBackend final : public Backend {
     o.batch_size = c.batch_size != 0 ? c.batch_size : default_batch(key_);
     o.initial_ub = c.initial_ub;
     o.node_budget = c.node_budget;
-    o.time_limit_seconds = c.time_limit_seconds;
     o.collect_pool_on_stop = ctx_.collect_pool_on_stop;
     o.control = ctx_.control;
+    o.branching = branching_for(key_, c.bound);
     return o;
   }
 
@@ -220,7 +230,8 @@ void check_context(const BackendContext& ctx) {
 
 void register_builtins(BackendRegistry& r) {
   r.add("cpu-serial",
-        "serial host bounding (lb0/lb1/lb2 per --bound); the reference",
+        "serial host bounding (lb0/lb1/lb2 per --bound; lb1 branches at "
+        "both ends); the reference",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           return std::make_unique<EngineBackend>("cpu-serial", ctx, nullptr,
                                                  make_serial_evaluator(ctx));
@@ -257,8 +268,8 @@ void register_builtins(BackendRegistry& r) {
                                                  std::move(eval));
         });
   r.add("cpu-threads",
-        "lb1/lb2 fanned over a host thread pool (--threads); Type-1 "
-        "parallelism",
+        "lb1/lb2 fanned over a host thread pool (--threads; lb1 branches "
+        "at both ends); Type-1 parallelism",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           require_bound(ctx, "cpu-threads", {Bound::kLb1, Bound::kLb2});
           auto eval =
@@ -322,7 +333,7 @@ void register_builtins(BackendRegistry& r) {
   r.add("cpu-steal",
         "work-stealing sharded-pool B&B over --threads workers (one "
         "deque each, round-robin oldest-first steals; lb1 or lb2 per "
-        "--bound); strategy/batch/time-limit do not apply",
+        "--bound, lb1 branches at both ends); strategy/batch do not apply",
         [](const BackendContext& ctx) -> std::unique_ptr<Backend> {
           require_bound(ctx, "cpu-steal", {Bound::kLb1, Bound::kLb2});
           return std::make_unique<StealBackend>(ctx);

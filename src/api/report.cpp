@@ -37,7 +37,6 @@ std::string config_json(const SolverConfig& c) {
   o.field("initial_ub",
           c.initial_ub ? std::to_string(*c.initial_ub) : "null");
   o.integer("node_budget", c.node_budget);
-  o.real("time_limit_seconds", c.time_limit_seconds);
   o.field("deadline_ms",
           c.deadline_ms ? std::to_string(*c.deadline_ms) : "null");
   o.integer("progress_interval_ms", c.progress_interval_ms);

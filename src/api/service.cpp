@@ -254,7 +254,7 @@ void SolverService::run_job(const std::shared_ptr<detail::JobBlock>& job) {
     outcome.report =
         detail::execute_solve(job->instance, job->config, &job->control);
   } catch (const std::exception& e) {
-    outcome.error = e.what();
+    outcome.error = user_message(e);
     outcome.exception = std::current_exception();
   } catch (...) {
     outcome.error = "unknown error";

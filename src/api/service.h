@@ -47,6 +47,8 @@ namespace fsbb::api {
 /// rethrow; `error` is its message, for transports (NDJSON) and logs.
 struct SolveOutcome {
   std::optional<SolveReport> report;
+  /// The failure's client-facing text (fsbb::user_message: no failed
+  /// expression or source location); `exception` keeps the full what().
   std::string error;
   std::exception_ptr exception;
 

@@ -95,7 +95,7 @@ std::vector<SolveReport> Solver::solve_many(
             outcomes[i].report =
                 detail::execute_solve(instances[i], config_, &control);
           } catch (const std::exception& e) {
-            outcomes[i].error = e.what();
+            outcomes[i].error = user_message(e);
             outcomes[i].exception = std::current_exception();
           } catch (...) {
             outcomes[i].error = "unknown error";

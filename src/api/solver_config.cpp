@@ -1,7 +1,6 @@
 #include "api/solver_config.h"
 
 #include <algorithm>
-#include <iomanip>
 #include <limits>
 #include <sstream>
 
@@ -88,7 +87,7 @@ const std::vector<std::string>& SolverConfig::cli_flags() {
   static const std::vector<std::string> kFlags = {
       "backend",    "bound",         "strategy",   "batch",
       "threads",    "batch-workers", "block-threads", "placement",
-      "device",     "ub",            "node-budget",   "time-limit",
+      "device",     "ub",            "node-budget",
       "ta",         "jobs",          "machines",      "seed",
       "count",      "deadline-ms",   "progress-interval-ms",
       "gpu-pool",   "tenant",        "priority",      "gpu-devices",
@@ -121,7 +120,6 @@ SolverConfig SolverConfig::from_cli(const CliArgs& args) {
   c.node_budget =
       static_cast<std::uint64_t>(get_count_flag(args, "node-budget",
                                                 static_cast<std::size_t>(c.node_budget)));
-  c.time_limit_seconds = args.get_double_or("time-limit", c.time_limit_seconds);
   if (args.has("deadline-ms")) {
     c.deadline_ms = get_count_flag(args, "deadline-ms", 0);
   }
@@ -167,13 +165,6 @@ std::vector<std::string> SolverConfig::to_cli() const {
   flag("gpu-devices", gpu_devices);
   if (initial_ub) flag("ub", std::to_string(*initial_ub));
   flag("node-budget", std::to_string(node_budget));
-  {
-    // max_digits10 keeps the from_cli(parse(to_cli())) round-trip exact.
-    std::ostringstream ss;
-    ss << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << time_limit_seconds;
-    flag("time-limit", ss.str());
-  }
   if (deadline_ms) flag("deadline-ms", std::to_string(*deadline_ms));
   flag("progress-interval-ms", std::to_string(progress_interval_ms));
   flag("tenant", tenant);
@@ -195,7 +186,6 @@ void SolverConfig::validate() const {
   FSBB_CHECK_MSG(batch_workers <= kMaxWorkerThreads,
                  "--batch-workers must be in [0, " + max_workers + "], got " +
                      std::to_string(batch_workers));
-  FSBB_CHECK_MSG(time_limit_seconds >= 0, "time limit must be >= 0");
   FSBB_CHECK_MSG(!tenant.empty(), "tenant must not be empty");
   FSBB_CHECK_MSG(
       priority == "high" || priority == "normal" || priority == "low",

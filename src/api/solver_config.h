@@ -92,11 +92,9 @@ struct SolverConfig {
   /// Starting incumbent; NEH if unset.
   std::optional<fsp::Time> initial_ub;
   std::uint64_t node_budget = 0;     ///< 0 = solve to optimality
-  double time_limit_seconds = 0;     ///< 0 = unlimited
-  /// Hard wall-clock deadline in milliseconds, measured from submission.
-  /// Unlike time_limit_seconds (which only the serial engine honors, at
-  /// batch granularity), the deadline flows through core::SearchControl
-  /// and stops every backend. A value of 0 is an already-expired deadline:
+  /// Hard wall-clock deadline in milliseconds, measured from submission:
+  /// the one time-based stop. It flows through core::SearchControl and
+  /// stops every backend. A value of 0 is an already-expired deadline:
   /// the search stops before branching anything. Unset = no deadline.
   std::optional<std::uint64_t> deadline_ms;
   /// Minimum interval between streamed periodic progress events (ticks)

@@ -8,14 +8,34 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 namespace fsbb {
 
-/// Thrown when a FSBB_CHECK / FSBB_ASSERT condition is violated.
+/// Thrown when a FSBB_CHECK / FSBB_ASSERT condition is violated. what() is
+/// the full diagnostic (for logs and the CLI); message() is the part meant
+/// for a remote client, without the failed expression or source location.
 class CheckFailure : public std::logic_error {
  public:
-  explicit CheckFailure(const std::string& what) : std::logic_error(what) {}
+  explicit CheckFailure(const std::string& what)
+      : std::logic_error(what), message_(what) {}
+  CheckFailure(const std::string& what, std::string message)
+      : std::logic_error(what), message_(std::move(message)) {}
+
+  const std::string& message() const { return message_; }
+
+ private:
+  std::string message_;
 };
+
+/// The client-facing text of an exception: CheckFailure::message(), else
+/// what().
+inline std::string user_message(const std::exception& e) {
+  if (const auto* check = dynamic_cast<const CheckFailure*>(&e)) {
+    return check->message();
+  }
+  return e.what();
+}
 
 namespace detail {
 [[noreturn]] inline void check_failed(const char* cond, const char* file,
@@ -23,7 +43,7 @@ namespace detail {
   std::string what = std::string("check failed: ") + cond + " at " + file +
                      ":" + std::to_string(line);
   if (!msg.empty()) what += " — " + msg;
-  throw CheckFailure(what);
+  throw CheckFailure(what, msg.empty() ? "internal check failed" : msg);
 }
 }  // namespace detail
 

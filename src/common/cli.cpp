@@ -6,6 +6,18 @@
 #include "common/check.h"
 
 namespace fsbb {
+namespace {
+
+/// "unknown flag --name", plus the replacement when the flag was retired.
+std::string unknown_flag(const std::string& name) {
+  std::string what = "unknown flag --" + name;
+  if (name == "time-limit") {
+    what += " (retired: use --deadline-ms <ms>, which stops every backend)";
+  }
+  return what;
+}
+
+}  // namespace
 
 CliArgs CliArgs::parse(int argc, const char* const* argv,
                        const std::vector<std::string>& known_flags,
@@ -28,11 +40,11 @@ CliArgs CliArgs::parse(int argc, const char* const* argv,
       value = name.substr(eq + 1);
       name = name.substr(0, eq);
       FSBB_CHECK_MSG(contains(known_flags, name) || contains(bool_flags, name),
-                     "unknown flag --" + name);
+                     unknown_flag(name));
     } else if (contains(bool_flags, name)) {
       value = "1";
     } else {
-      FSBB_CHECK_MSG(contains(known_flags, name), "unknown flag --" + name);
+      FSBB_CHECK_MSG(contains(known_flags, name), unknown_flag(name));
       FSBB_CHECK_MSG(i + 1 < argc, "flag --" + name + " needs a value");
       value = argv[++i];
     }

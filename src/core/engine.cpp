@@ -15,9 +15,9 @@ namespace {
 /// One parent's children inside the pending batch (sibling/resident mode).
 struct GroupExtent {
   NodeArena::Handle parent;
-  std::int32_t depth;       ///< parent depth
-  std::uint32_t first;      ///< index of the first child in the batch
-  std::uint32_t count;
+  std::int32_t depth;       ///< parent's packed head/tail (NodeRef::depth)
+  std::uint32_t first;      ///< index of the first bound in the batch
+  std::uint32_t count;      ///< bounds: r forward, 2r bidirectional
   std::uint32_t ticket = ResidentPool::kNullTicket;  ///< resident mode only
 };
 
@@ -85,9 +85,12 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     arena.set_audit(arena_audit.get());
   }
   auto pool = make_pool<NodeRef>(options_.strategy);
+  const bool bidir = options_.branching == Branching::kBidirectional;
   for (Subproblem& sp : initial) {
+    FSBB_CHECK_MSG(bidir || sp.tail == 0,
+                   "forward branching cannot resume two-ended nodes");
     if (sp.lb < ub) {
-      pool->push(NodeRef{sp.lb, sp.depth, arena.adopt(sp)});
+      pool->push(NodeRef{sp.lb, pack_ends(sp.depth, sp.tail), arena.adopt(sp)});
     } else {
       ++result.stats.pruned;
     }
@@ -118,6 +121,10 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
   }
   const bool sibling_mode =
       resident != nullptr || evaluator_->supports_sibling_batches();
+  FSBB_CHECK_MSG(!bidir || (dfs == nullptr && resident == nullptr &&
+                            sibling_mode),
+                 "bidirectional branching needs a host sibling-batch "
+                 "evaluator; " + evaluator_->name() + " branches forward");
 
   // Ticket of each arena slot's resident payload (resident mode only).
   // Slots are reused after release, so entries are reset to kNullTicket.
@@ -164,10 +171,6 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     if (options_.freeze_pool_size != 0 &&
         pool->size() >= options_.freeze_pool_size) {
       return StopReason::kFrozen;
-    }
-    if (options_.time_limit_seconds > 0 &&
-        total_timer.seconds() >= options_.time_limit_seconds) {
-      return StopReason::kDeadline;
     }
     if (options_.control) return options_.control->should_stop();
     return std::nullopt;
@@ -271,7 +274,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     pending_mat.clear();
     pending_refs.clear();
     extents.clear();
-    std::size_t pending_count = 0;
+    std::size_t pending_count = 0;  // bounds the batch will compute
     while (pending_count < options_.batch_size && !pool->empty()) {
       const NodeRef node = pool->pop();
       if (node.lb >= result.best_makespan) {
@@ -282,7 +285,7 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
       ++result.stats.branched;
       const auto perm = arena.perm(node.slot);
       const auto d = static_cast<std::size_t>(node.depth);
-      const int r = n - node.depth;
+      const int r = n - node.fixed();
       if (r == 1) {
         // The single child is complete and its permutation is the
         // parent's (the one free job is already in place); its makespan
@@ -302,6 +305,14 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
           }
         }
         release_node(node.slot);
+      } else if (bidir) {
+        // Both ends are bounded before either is kept, so the children
+        // are written after bounding (elimination + insertion below); the
+        // parent stays allocated until then.
+        extents.push_back(GroupExtent{node.slot, node.depth,
+                                      static_cast<std::uint32_t>(pending_count),
+                                      static_cast<std::uint32_t>(2 * r)});
+        pending_count += 2 * static_cast<std::size_t>(r);
       } else if (sibling_mode) {
         const auto first = static_cast<std::uint32_t>(pending_refs.size());
         for (int i = 0; i < r; ++i) {
@@ -359,15 +370,18 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
         }
         resident->iterate(result.best_makespan, rgroups);
       } else if (sibling_mode) {
-        bounds.resize(pending_refs.size());
+        bounds.resize(pending_count);
         groups.clear();
         groups.reserve(extents.size());
         for (const GroupExtent& e : extents) {
           const auto parent_perm = arena.perm(e.parent);
-          const auto depth = static_cast<std::size_t>(e.depth);
+          const auto head = static_cast<std::size_t>(packed_head(e.depth));
+          const auto tail = static_cast<std::size_t>(packed_tail(e.depth));
           groups.push_back(SiblingBatch{
-              parent_perm.first(depth), parent_perm.subspan(depth),
-              std::span<Time>(bounds).subspan(e.first, e.count)});
+              parent_perm.first(head),
+              parent_perm.subspan(head, parent_perm.size() - head - tail),
+              std::span<Time>(bounds).subspan(e.first, e.count),
+              parent_perm.last(tail), options_.branching});
         }
         evaluator_->evaluate_siblings(groups);
       } else {
@@ -378,7 +392,30 @@ SolveResult BBEngine::run(std::vector<Subproblem> initial, Time ub) {
     }
 
     // --- elimination + insertion --------------------------------------
-    if (sibling_mode) {
+    if (bidir) {
+      for (const GroupExtent& e : extents) {
+        const std::size_t r = e.count / 2;
+        const auto lbs = std::span<const Time>(bounds).subspan(e.first, e.count);
+        const BranchEnd end = choose_branch_end(lbs.first(r), lbs.subspan(r),
+                                                result.best_makespan);
+        const auto kept = end == BranchEnd::kHead ? lbs.first(r)
+                                                  : lbs.subspan(r);
+        const auto parent = arena.perm(e.parent);
+        result.stats.generated += r;
+        for (std::size_t i = 0; i < r; ++i) {
+          if (kept[i] >= result.best_makespan) {
+            ++result.stats.pruned;
+            continue;
+          }
+          const NodeArena::Handle c = arena.allocate();
+          const std::int32_t ends =
+              write_end_child(parent, packed_head(e.depth),
+                              packed_tail(e.depth), end, i, arena.perm(c));
+          pool->push(NodeRef{kept[i], ends, c});
+        }
+        release_node(e.parent);
+      }
+    } else if (sibling_mode) {
       for (std::size_t i = 0; i < pending_refs.size(); ++i) {
         NodeRef child = pending_refs[i];
         child.lb = bounds[i];

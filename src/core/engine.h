@@ -12,6 +12,11 @@
 // the bounding operator of paper Fig. 3. Elimination happens twice: when a
 // bounded child returns (lb >= UB → drop) and lazily at pop time (the UB
 // may have improved since insertion).
+//
+// Branching is forward (extend the scheduled prefix) or bidirectional
+// (EngineOptions::branching): a node then fixes a head and a tail, the
+// evaluator bounds the children of both ends in one sibling batch, and the
+// engine keeps the end choose_branch_end picks (a MinBranch variant).
 #pragma once
 
 #include <cstdint>
@@ -38,9 +43,6 @@ struct EngineOptions {
   std::optional<Time> initial_ub;
   /// Stop after branching this many nodes (0 = unlimited).
   std::uint64_t node_budget = 0;
-  /// Stop after this much wall time (0 = unlimited). Checked between
-  /// batches, so the engine may overrun by one bounding batch.
-  double time_limit_seconds = 0;
   /// Stop once the active pool holds at least this many nodes (0 = never).
   /// Used by the frozen-pool protocol to snapshot a large live pool.
   std::size_t freeze_pool_size = 0;
@@ -50,13 +52,22 @@ struct EngineOptions {
   /// be null). Polled once per bounding batch, so cancellation and
   /// deadlines take effect within one batch.
   SearchControl* control = nullptr;
+  /// Forward extends the head only. Bidirectional bounds the children of
+  /// both ends of every node and keeps one end (choose_branch_end); it
+  /// needs a sibling-batch LB1 host evaluator (SerialCpuEvaluator or
+  /// ThreadedCpuEvaluator). The registry picks it for cpu-serial and
+  /// cpu-threads under LB1; the device pools still branch forward.
+  Branching branching = Branching::kForward;
 };
 
 /// Counters for every operator of the algorithm.
 struct EngineStats {
   std::uint64_t branched = 0;    ///< nodes decomposed
   std::uint64_t generated = 0;   ///< children produced by branching
-  std::uint64_t evaluated = 0;   ///< children through the bounding operator
+  /// Children through the bounding operator. Bidirectional branching
+  /// bounds both ends' children and keeps one end's, so there evaluated
+  /// runs about twice generated.
+  std::uint64_t evaluated = 0;
   std::uint64_t pruned = 0;      ///< eliminated (at return or at pop)
   std::uint64_t leaves = 0;      ///< complete schedules reached
   std::uint64_t ub_updates = 0;  ///< incumbent improvements

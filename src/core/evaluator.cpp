@@ -17,6 +17,8 @@ void BoundEvaluator::evaluate_siblings(std::span<const SiblingBatch> groups) {
   std::vector<JobId> parent_perm;
   std::vector<Subproblem> children;
   for (const SiblingBatch& g : groups) {
+    FSBB_CHECK_MSG(g.branching == Branching::kForward,
+                   name() + " bounds forward sibling batches only");
     FSBB_CHECK(g.bounds.size() == g.next_jobs.size());
     // prefix ++ free jobs IS the parent's full permutation (see the
     // SiblingBatch contract), so child i follows the shared branch rule.
@@ -55,9 +57,46 @@ SerialCpuEvaluator::SerialCpuEvaluator(const fsp::Instance& inst,
   lb2_context_.emplace(inst, data, *lb2_);
 }
 
+namespace {
+
+/// Bounds one sibling batch with `ctx` (Lb1BoundContext or
+/// Lb2BoundContext, forward only) or, for a bidirectional batch, with
+/// `bidir` (the head children, then the tail children).
+template <typename Context>
+void bound_group(Context& ctx, fsp::Lb1BidirContext* bidir,
+                 const SiblingBatch& g) {
+  const std::size_t r = g.next_jobs.size();
+  if (g.branching == Branching::kBidirectional) {
+    FSBB_CHECK(bidir != nullptr && g.bounds.size() == 2 * r);
+    bidir->set_parent(g.parent_prefix, g.parent_tail);
+    for (std::size_t i = 0; i < r; ++i) {
+      g.bounds[i] = bidir->bound_head_child(g.next_jobs[i]);
+    }
+    for (std::size_t i = 0; i < r; ++i) {
+      g.bounds[r + i] = bidir->bound_tail_child(g.next_jobs[i]);
+    }
+    return;
+  }
+  FSBB_CHECK(g.bounds.size() == r && g.parent_tail.empty());
+  ctx.set_parent(g.parent_prefix);
+  for (std::size_t i = 0; i < r; ++i) {
+    g.bounds[i] = ctx.bound_child(g.next_jobs[i]);
+  }
+}
+
+bool any_bidirectional(std::span<const SiblingBatch> groups) {
+  for (const SiblingBatch& g : groups) {
+    if (g.branching == Branching::kBidirectional) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 void SerialCpuEvaluator::evaluate(std::span<Subproblem> batch) {
   const WallTimer timer;
   for (Subproblem& sp : batch) {
+    FSBB_CHECK_MSG(sp.tail == 0, "flat batches bound forward nodes only");
     sp.lb = lb2_ ? fsp::lb2_from_prefix(*inst_, *data_, *lb2_, sp.prefix(),
                                         *lb2_scratch_)
                  : fsp::lb1_from_prefix(*inst_, *data_, sp.prefix(), scratch_);
@@ -71,20 +110,17 @@ void SerialCpuEvaluator::evaluate_siblings(
     std::span<const SiblingBatch> groups) {
   const WallTimer timer;
   std::size_t nodes = 0;
-  auto bound_groups = [&](auto& ctx) {
-    for (const SiblingBatch& g : groups) {
-      FSBB_CHECK(g.bounds.size() == g.next_jobs.size());
-      ctx.set_parent(g.parent_prefix);
-      for (std::size_t i = 0; i < g.next_jobs.size(); ++i) {
-        g.bounds[i] = ctx.bound_child(g.next_jobs[i]);
-      }
-      nodes += g.next_jobs.size();
+  if (!lb2_ && !bidir_context_ && any_bidirectional(groups)) {
+    bidir_context_.emplace(*inst_, *data_);
+  }
+  fsp::Lb1BidirContext* bidir = bidir_context_ ? &*bidir_context_ : nullptr;
+  for (const SiblingBatch& g : groups) {
+    if (lb2_context_) {
+      bound_group(*lb2_context_, bidir, g);
+    } else {
+      bound_group(context_, bidir, g);
     }
-  };
-  if (lb2_context_) {
-    bound_groups(*lb2_context_);
-  } else {
-    bound_groups(context_);
+    nodes += g.bounds.size();
   }
   ++ledger_.batches;
   ledger_.nodes += nodes;
@@ -132,6 +168,8 @@ void ThreadedCpuEvaluator::evaluate(std::span<Subproblem> batch) {
       0, batch.size(),
       [&](std::size_t lo, std::size_t hi, std::size_t worker) {
         for (std::size_t i = lo; i < hi; ++i) {
+          FSBB_CHECK_MSG(batch[i].tail == 0,
+                         "flat batches bound forward nodes only");
           batch[i].lb =
               lb2_ ? fsp::lb2_from_prefix(*inst_, *data_, *lb2_,
                                           batch[i].prefix(),
@@ -149,24 +187,23 @@ void ThreadedCpuEvaluator::evaluate_siblings(
     std::span<const SiblingBatch> groups) {
   const WallTimer timer;
   std::size_t nodes = 0;
-  for (const SiblingBatch& g : groups) {
-    FSBB_CHECK(g.bounds.size() == g.next_jobs.size());
-    nodes += g.next_jobs.size();
-  }
-  auto bound_group = [](auto& ctx, const SiblingBatch& g) {
-    ctx.set_parent(g.parent_prefix);
-    for (std::size_t i = 0; i < g.next_jobs.size(); ++i) {
-      g.bounds[i] = ctx.bound_child(g.next_jobs[i]);
+  for (const SiblingBatch& g : groups) nodes += g.bounds.size();
+  if (!lb2_ && bidir_contexts_.empty() && any_bidirectional(groups)) {
+    bidir_contexts_.reserve(contexts_.size());
+    for (std::size_t i = 0; i < contexts_.size(); ++i) {
+      bidir_contexts_.emplace_back(*inst_, *data_);
     }
-  };
+  }
   pool_.parallel_for(
       0, groups.size(),
       [&](std::size_t lo, std::size_t hi, std::size_t worker) {
+        fsp::Lb1BidirContext* bidir =
+            bidir_contexts_.empty() ? nullptr : &bidir_contexts_[worker];
         for (std::size_t gi = lo; gi < hi; ++gi) {
           if (lb2_) {
-            bound_group(lb2_contexts_[worker], groups[gi]);
+            bound_group(lb2_contexts_[worker], bidir, groups[gi]);
           } else {
-            bound_group(contexts_[worker], groups[gi]);
+            bound_group(contexts_[worker], bidir, groups[gi]);
           }
         }
       },

@@ -34,12 +34,20 @@ struct EvalLedger {
 /// One parent's children, described without materializing them: the child
 /// scheduling next_jobs[i] is exactly parent.child(i), because an engine
 /// only bounds incomplete children and those exist precisely when ALL of
-/// the parent's free jobs spawn one child each. parent_prefix and
-/// next_jobs therefore concatenate to the parent's full permutation.
+/// the parent's free jobs spawn one child each. parent_prefix, next_jobs
+/// and parent_tail therefore concatenate to the parent's full permutation.
+///
+/// `branching` says which ends the batch extends. kForward: one bound per
+/// head child. kBidirectional: the r head children's bounds, then the r
+/// tail children's (tail child i moves next_jobs[i] in front of the tail),
+/// all under the two-sided bound (fsp::Lb1BidirContext) — the engine then
+/// keeps one end per parent (choose_branch_end).
 struct SiblingBatch {
-  std::span<const JobId> parent_prefix;  ///< the parent's scheduled jobs
+  std::span<const JobId> parent_prefix;  ///< the parent's head
   std::span<const JobId> next_jobs;      ///< the parent's free jobs, in order
   std::span<Time> bounds;                ///< out: one LB per child
+  std::span<const JobId> parent_tail = {};  ///< the parent's tail
+  Branching branching = Branching::kForward;
 };
 
 /// One parent in a resident-pool offload iteration. `perm` is the parent's
@@ -178,7 +186,9 @@ class BoundEvaluator {
   /// materializes the children and routes them through evaluate(), so
   /// callback/GPU evaluators work unchanged; the CPU evaluators override
   /// it with the O(m)-incremental Lb1BoundContext path. Bounds are
-  /// bit-identical between the two paths — a tested invariant.
+  /// bit-identical between the two paths — a tested invariant. Only the
+  /// CPU evaluators under LB1 bound bidirectional batches; the default
+  /// rejects them.
   virtual void evaluate_siblings(std::span<const SiblingBatch> groups);
 
   /// Non-null when this evaluator keeps node payloads resident in its own
@@ -201,7 +211,8 @@ class BoundEvaluator {
 };
 
 /// Serial CPU evaluator applying LB1 node by node. Sibling batches take
-/// the incremental context; flat batches replay each prefix.
+/// the incremental context (the two-sided one for bidirectional batches,
+/// built on first use); flat batches replay each prefix.
 class SerialCpuEvaluator final : public BoundEvaluator {
  public:
   SerialCpuEvaluator(const fsp::Instance& inst, const fsp::LowerBoundData& data);
@@ -223,6 +234,7 @@ class SerialCpuEvaluator final : public BoundEvaluator {
   const fsp::LowerBoundData* data_;
   fsp::Lb1Scratch scratch_;
   fsp::Lb1BoundContext context_;
+  std::optional<fsp::Lb1BidirContext> bidir_context_;  // on first use
   // Engaged together in LB2 mode; context_/scratch_ are then unused.
   std::optional<fsp::Lb2Data> lb2_;
   std::optional<fsp::Lb2Scratch> lb2_scratch_;
@@ -291,6 +303,7 @@ class ThreadedCpuEvaluator final : public BoundEvaluator {
   // thread_count() (the calling thread participates), hence + 1.
   std::vector<fsp::Lb1Scratch> scratch_;
   std::vector<fsp::Lb1BoundContext> contexts_;
+  std::vector<fsp::Lb1BidirContext> bidir_contexts_;  // on first use
   // Engaged together in LB2 mode; the LB1 vectors above are then empty.
   std::optional<fsp::Lb2Data> lb2_;
   std::vector<fsp::Lb2Scratch> lb2_scratch_;

@@ -60,12 +60,13 @@ NodeArena::Handle NodeArena::adopt(const Subproblem& sp, std::size_t lane) {
   return h;
 }
 
-Subproblem NodeArena::materialize(Handle h, std::int32_t depth,
+Subproblem NodeArena::materialize(Handle h, std::int32_t packed,
                                   fsp::Time lb) const {
   const auto src = perm(h);
   Subproblem sp;
   sp.perm.assign(src.begin(), src.end());
-  sp.depth = depth;
+  sp.depth = packed_head(packed);
+  sp.tail = packed_tail(packed);
   sp.lb = lb;
   return sp;
 }

@@ -74,7 +74,8 @@ class NodeArena {
   Handle adopt(const Subproblem& sp, std::size_t lane = 0);
 
   /// Materializes a handle back into a value node (does NOT release).
-  Subproblem materialize(Handle h, std::int32_t depth, fsp::Time lb) const;
+  /// `packed` is NodeRef::depth: head and tail (see pack_ends).
+  Subproblem materialize(Handle h, std::int32_t packed, fsp::Time lb) const;
 
   /// Live slots across every lane. Coordinating-thread only (racy while
   /// workers run); the leak tests call it after the gang joined.
@@ -129,13 +130,19 @@ class NodeArena {
   audit::ArenaAudit* audit_ = nullptr;
 };
 
-/// A pooled node: the lower bound and depth ride along so selection
-/// (best-first ordering, lazy pruning) never dereferences the arena, and
-/// the permutation is a 4-byte slot index instead of an owning vector.
+/// A pooled node: the lower bound and the fixed-end counts ride along so
+/// selection (best-first ordering, lazy pruning) never dereferences the
+/// arena, and the permutation is a 4-byte slot index instead of an owning
+/// vector. `depth` packs head and tail (pack_ends); forward nodes have
+/// tail 0, so there depth is the plain head count.
 struct NodeRef {
   fsp::Time lb = Subproblem::kUnevaluated;
   std::int32_t depth = 0;
   NodeArena::Handle slot = NodeArena::kNull;
+
+  int head() const { return packed_head(depth); }
+  int tail() const { return packed_tail(depth); }
+  int fixed() const { return head() + tail(); }
 };
 
 }  // namespace fsbb::core

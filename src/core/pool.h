@@ -2,13 +2,14 @@
 //
 // Best-first (the strategy the paper uses for its GPU pools) pops the node
 // with the smallest lower bound; depth-first pops LIFO. Both are fully
-// deterministic: ties break on (deeper first, then insertion sequence).
+// deterministic: ties break on (deeper first — more jobs fixed at either
+// end — then insertion sequence).
 //
 // The pool is generic over its node type: the engines store 12-byte
 // NodeRef handles into a NodeArena (permutations never move through the
 // heap), while the frozen-pool protocol and the tests keep using the
-// value-typed Subproblem instantiation. Any type with `lb` and `depth`
-// members orders the same way.
+// value-typed Subproblem instantiation. Any type with an `lb` member and a
+// `fixed()` count orders the same way.
 #pragma once
 
 #include <algorithm>
@@ -92,7 +93,7 @@ struct WorseThan {
   bool operator()(const BestFirstEntry<Node>& a,
                   const BestFirstEntry<Node>& b) const {
     if (a.sp.lb != b.sp.lb) return a.sp.lb > b.sp.lb;
-    if (a.sp.depth != b.sp.depth) return a.sp.depth < b.sp.depth;
+    if (a.sp.fixed() != b.sp.fixed()) return a.sp.fixed() < b.sp.fixed();
     return a.seq > b.seq;
   }
 };

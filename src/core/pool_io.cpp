@@ -10,7 +10,9 @@ namespace fsbb::core {
 
 namespace {
 constexpr const char* kMagic = "fsbb-frozen-pool";
-constexpr int kVersion = 1;
+constexpr int kVersion = 2;
+/// The last version without the tail column; still readable.
+constexpr int kForwardOnlyVersion = 1;
 
 /// Line-oriented reader over the stream: every parse error names the
 /// source and the 1-based line it happened on.
@@ -70,7 +72,7 @@ void write_frozen_pool(std::ostream& out, const FrozenPool& pool) {
   for (const Subproblem& sp : pool.nodes) {
     FSBB_CHECK_MSG(sp.jobs() == jobs, "heterogeneous pool");
     FSBB_CHECK_MSG(sp.lb != Subproblem::kUnevaluated, "unevaluated node");
-    out << sp.depth;
+    out << sp.depth << " " << sp.tail;
     for (const JobId j : sp.perm) out << " " << j;
     out << " " << sp.lb << "\n";
   }
@@ -95,7 +97,7 @@ FrozenPool read_frozen_pool(std::istream& in, const std::string& source) {
   const auto magic = reader.read<std::string>(header, "frozen-pool magic");
   if (magic != kMagic) reader.fail("not a frozen-pool file");
   const int version = reader.read<int>(header, "frozen-pool version");
-  if (version != kVersion) {
+  if (version != kVersion && version != kForwardOnlyVersion) {
     reader.fail("unsupported frozen-pool version " + std::to_string(version));
   }
   reader.expect_line_end(header);
@@ -116,6 +118,12 @@ FrozenPool read_frozen_pool(std::istream& in, const std::string& source) {
     sp.perm.resize(static_cast<std::size_t>(jobs));
     sp.depth = reader.read<std::int32_t>(node_line, "node depth");
     if (sp.depth < 0 || sp.depth > jobs) reader.fail("depth out of range");
+    if (version != kForwardOnlyVersion) {
+      sp.tail = reader.read<std::int32_t>(node_line, "node tail");
+      if (sp.tail < 0 || sp.tail > jobs - sp.depth) {
+        reader.fail("tail out of range");
+      }
+    }
     std::vector<bool> seen(static_cast<std::size_t>(jobs), false);
     for (int j = 0; j < jobs; ++j) {
       const int v = reader.read<int>(node_line, "permutation");

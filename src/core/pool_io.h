@@ -7,10 +7,12 @@
 // JSON string each (see write_frozen_pool_string).
 //
 // Format (line-oriented, whitespace-separated):
-//   fsbb-frozen-pool 1          header + version
+//   fsbb-frozen-pool 2          header + version
 //   <jobs> <node_count> <incumbent>
-//   <depth> <perm[0]> ... <perm[n-1]>      one line per node (lb last)
-//   ... where each node line ends with its lower bound.
+//   <depth> <tail> <perm[0]> ... <perm[n-1]> <lb>   one line per node
+// `depth` and `tail` count the jobs fixed at the front and at the back of
+// the permutation (core/subproblem.h). Version 1 files (no tail column,
+// written before bidirectional branching) still load, as tail 0.
 //
 // Read errors throw CheckFailure naming the source and the 1-based line,
 // e.g. `read_frozen_pool("pool.txt", line 37): corrupt permutation`, so a

@@ -12,8 +12,8 @@
 //     it at the next should_stop() poll and unwinds with a consistent
 //     partial result (StopReason::kCanceled).
 //   * deadline: a steady-clock instant; should_stop() samples the clock
-//     and latches StopReason::kDeadline once passed. Engine-level
-//     time_limit_seconds maps to the same reason.
+//     and latches StopReason::kDeadline once passed. It is the one
+//     time-based stop (api::SolverConfig::deadline_ms).
 //   * progress events: an optional sink receives SearchEvents — incumbent
 //     improvements (gated so streamed incumbents are strictly improving
 //     even when parallel workers race) and rate-limited periodic ticks.

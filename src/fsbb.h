@@ -10,8 +10,7 @@
 //             generators, makespans, Johnson's rule, the LB data
 //             structures and the LB0/LB1/LB2 bounds, NEH, brute force, I/O
 //   core/     the B&B machinery: nodes, pools, the engine, evaluators,
-//             the frozen-pool protocol (+ serialization), cost model,
-//             bidirectional branching
+//             the frozen-pool protocol (+ serialization), cost model
 //   gpusim/   the simulated CUDA device: specs, memory spaces, occupancy,
 //             kernel runtime, timing and transfer models, calibration
 //   gpubb/    the paper's contribution: placement policies, packed device
@@ -55,7 +54,6 @@
 #include "fsp/neh.h"           // IWYU pragma: export
 #include "fsp/taillard.h"      // IWYU pragma: export
 
-#include "core/bidir.h"        // IWYU pragma: export
 #include "core/cost_model.h"   // IWYU pragma: export
 #include "core/engine.h"       // IWYU pragma: export
 #include "core/evaluator.h"    // IWYU pragma: export

@@ -89,6 +89,27 @@ class Lb1Scratch {
   std::vector<std::uint8_t> scheduled_;
 };
 
+/// The machine-couple lanes both incremental LB1 contexts sweep. Static
+/// per instance: each couple s = (k, l)'s machines and their head (RM) and
+/// tail (QM) minima, one lane per couple. Rebuilt per parent by pack():
+/// each couple's Johnson order compacted to the parent's free jobs and
+/// laid out position-major ([i * pairs + s]: the job at compacted position
+/// i of couple s, its times on k and on l, and its lag), so a sibling's
+/// sweep is a branch-free, unit-stride loop across couples.
+struct Lb1CoupleLanes {
+  explicit Lb1CoupleLanes(const LowerBoundData& data);
+
+  /// Compacts every couple's Johnson order to the jobs with scheduled[j]
+  /// == 0 and returns how many there are.
+  int pack(const LowerBoundData& data, std::span<const std::uint8_t> scheduled);
+
+  std::vector<int> mk, ml;
+  std::vector<Time> rmk, rml, qmk, qml;
+  std::vector<Time> job, p1, p2, lag;
+  /// Per-child accumulators, one per couple.
+  std::vector<Time> t1, t2;
+};
+
 /// Incremental sibling-batch LB1 (the hot path of every CPU backend).
 ///
 /// A branch-and-bound node's children share the parent's scheduled prefix,
@@ -149,21 +170,64 @@ class Lb1BoundContext {
   std::vector<Time> parent_fronts_;
   std::vector<Time> child_fronts_;
   std::vector<std::uint8_t> scheduled_;
-  /// pairs x free_count (stride free_count_): each machine couple's Johnson
-  /// order restricted to the parent's unscheduled jobs (the scalar
-  /// reference sweep's layout).
-  std::vector<JobId> free_seq_;
   int free_count_ = 0;
+  Lb1CoupleLanes lanes_;
+};
 
-  // Couple-contiguous vectorization state. Static per instance:
-  std::vector<int> mk_, ml_;        ///< machine ids per couple
-  std::vector<Time> rmk_, rml_, qml_;
-  // Rebuilt per parent, position-major with stride pairs: entry
-  // [i * pairs + s] describes the job at compacted Johnson position i of
-  // couple s (its id, widened ptm on both machines, and lag).
-  std::vector<Time> pack_job_, pack_p1_, pack_p2_, pack_lag_;
-  // Per-child parallel accumulators (one lane per couple).
-  std::vector<Time> t1_, t2_;
+/// Incremental two-sided LB1 for bidirectional branching: a node fixes a
+/// head AND a tail of the permutation, and its children extend either end.
+///
+/// The bound is the max of two views of the same machine-couple sweep:
+///
+///   forward   machine fronts F of the head start each couple (k, l), the
+///             free jobs run in Johnson order, and the couple finishes with
+///             max(QM[l], B[l]), B the machine "backs" of the tail (the
+///             time from the tail's start on a machine to the end);
+///   reversed  the same sweep on the mirrored instance (machines and the
+///             permutation reversed, which leaves every makespan intact):
+///             the tail's backs start each couple, the jobs run in reversed
+///             Johnson order with the machines swapped, and the couple
+///             finishes with max(RM[k], F[k]).
+///
+/// The reversed view is read straight out of the forward LowerBoundData:
+/// the mirrored couple of (k, l) is (m-1-l, m-1-k) with the same lags, and
+/// RM and QM trade places. Its Johnson order is the forward order
+/// reversed, which is an optimal order of the mirrored two-machine problem
+/// with lags, so every bound equals the one a freshly built mirrored table
+/// gives (a tested property; the tie-breaking of the two orders may differ,
+/// their sweep values do not). Nothing is built per instance beyond this
+/// context's buffers.
+///
+/// Like Lb1BoundContext, set_parent compacts each couple's Johnson order
+/// to the parent's free jobs once (Lb1CoupleLanes), and each child then
+/// costs an O(m) front (or back) extension plus two vectorized sweeps over
+/// the remaining jobs. A complete node's bound is its exact makespan.
+class Lb1BidirContext {
+ public:
+  Lb1BidirContext(const Instance& inst, const LowerBoundData& data);
+
+  /// Binds the parent [head][free][tail] whose children are about to be
+  /// bounded.
+  void set_parent(std::span<const JobId> head, std::span<const JobId> tail);
+
+  /// Bound of the child that appends `job` (a free job) to the head.
+  Time bound_head_child(JobId job);
+  /// Bound of the child that prepends `job` (a free job) to the tail.
+  Time bound_tail_child(JobId job);
+
+ private:
+  /// max(forward view, reversed view) over the parent's free jobs minus
+  /// `skip` (-1 skips none), with the given fronts and backs.
+  Time sweep(std::span<const Time> fronts, std::span<const Time> backs,
+             Time skip);
+
+  const Instance* inst_;
+  const LowerBoundData* data_;
+  std::vector<Time> parent_fronts_, parent_backs_;
+  std::vector<Time> child_fronts_, child_backs_;
+  std::vector<std::uint8_t> scheduled_;
+  int free_count_ = 0;
+  Lb1CoupleLanes lanes_;
 };
 
 /// Convenience entry point: LB1 of the node whose scheduled prefix is

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -43,11 +44,14 @@ struct BestLeaf {
 };
 
 /// Branches the node behind `node.slot`, bounds every incomplete child
-/// with the bound context (fsp::Lb1BoundContext or fsp::Lb2BoundContext)
-/// into `lbs`, appends the children below `ub_snapshot` to `survivors`
-/// (cleared first) and accumulates the generated/evaluated/pruned/leaves
-/// counters and the bounding time into `stats`. The context is bound to
-/// the parent once; each child then costs an O(m) front extension plus a
+/// with the bound context into `lbs`, appends the children below
+/// `ub_snapshot` to `survivors` (cleared first) and accumulates the
+/// generated/evaluated/pruned/leaves counters and the bounding time into
+/// `stats`. fsp::Lb2BoundContext bounds the head children;
+/// fsp::Lb1BidirContext bounds the children of both ends and keeps the
+/// end core::choose_branch_end picks, exactly as
+/// BBEngine's bidirectional path does. The context is bound to the parent
+/// once; each child then costs an O(m) front extension plus a
 /// remaining-jobs-only sweep, the same sibling-batch discipline the serial
 /// engine gets through BoundEvaluator::evaluate_siblings. All children are
 /// bounded before any survivor is allocated, so the timed region is the
@@ -63,8 +67,9 @@ BestLeaf expand_node(const fsp::Instance& inst, core::NodeArena& arena,
   survivors.clear();
   BestLeaf best;
   const auto perm = arena.perm(node.slot);
-  const auto d = static_cast<std::size_t>(node.depth);
-  const int r = inst.jobs() - node.depth;
+  const auto head = static_cast<std::size_t>(node.head());
+  const auto tail = static_cast<std::size_t>(node.tail());
+  const int r = inst.jobs() - node.fixed();
   if (r == 1) {
     // The single child is complete and equals the parent's permutation
     // (the one free job is already in place); its makespan is exact.
@@ -77,23 +82,42 @@ BestLeaf expand_node(const fsp::Instance& inst, core::NodeArena& arena,
     }
     return best;
   }
+  constexpr bool kTwoSided =
+      std::is_same_v<BoundContext, fsp::Lb1BidirContext>;
   const auto children = static_cast<std::size_t>(r);
-  lbs.resize(children);
+  lbs.resize(kTwoSided ? 2 * children : children);
   {
     const WallTimer bound_timer;
-    ctx.set_parent(perm.first(d));
-    for (std::size_t i = 0; i < children; ++i) {
-      lbs[i] = ctx.bound_child(perm[d + i]);
+    if constexpr (kTwoSided) {
+      ctx.set_parent(perm.first(head), perm.last(tail));
+      for (std::size_t i = 0; i < children; ++i) {
+        lbs[i] = ctx.bound_head_child(perm[head + i]);
+        lbs[children + i] = ctx.bound_tail_child(perm[head + i]);
+      }
+    } else {
+      ctx.set_parent(perm.first(head));
+      for (std::size_t i = 0; i < children; ++i) {
+        lbs[i] = ctx.bound_child(perm[head + i]);
+      }
     }
     stats.bounding_seconds += bound_timer.seconds();
   }
   stats.generated += children;
-  stats.evaluated += children;
+  stats.evaluated += lbs.size();
+  const std::span<const fsp::Time> all(lbs);
+  core::BranchEnd end = core::BranchEnd::kHead;
+  if constexpr (kTwoSided) {
+    end = core::choose_branch_end(all.first(children),
+                                  all.subspan(children), ub_snapshot);
+  }
+  const auto kept = end == core::BranchEnd::kHead ? all.first(children)
+                                                  : all.subspan(children);
   for (std::size_t i = 0; i < children; ++i) {
-    if (lbs[i] < ub_snapshot) {
+    if (kept[i] < ub_snapshot) {
       const core::NodeArena::Handle c = arena.allocate(lane);
-      core::write_child_perm(perm, d, i, arena.perm(c));
-      survivors.push_back(NodeRef{lbs[i], node.depth + 1, c});
+      const std::int32_t ends = core::write_end_child(
+          perm, node.head(), node.tail(), end, i, arena.perm(c));
+      survivors.push_back(NodeRef{kept[i], ends, c});
     } else {
       ++stats.pruned;
     }
@@ -190,9 +214,9 @@ std::optional<NodeRef> try_steal(Shared& sh, std::size_t id,
   return std::nullopt;
 }
 
-/// BoundContext is fsp::Lb1BoundContext or fsp::Lb2BoundContext — the
-/// search loop is byte-for-byte the same either way; only bound_child's
-/// arithmetic differs.
+/// BoundContext is fsp::Lb1BidirContext or fsp::Lb2BoundContext — the
+/// search loop is byte-for-byte the same either way; only expand_node's
+/// bounding and branching differ.
 template <typename BoundContext>
 void worker(const fsp::Instance& inst, const fsp::LowerBoundData& /*data*/,
             Shared& sh, std::size_t id, BoundContext ctx) {
@@ -372,8 +396,11 @@ core::SolveResult run(const fsp::Instance& inst,
   for (Subproblem& sp : initial) {
     FSBB_CHECK_MSG(sp.lb != Subproblem::kUnevaluated,
                    "steal engine requires bounded initial nodes");
+    FSBB_CHECK_MSG(options.bound == MtBound::kLb1 || sp.tail == 0,
+                   "LB2 branches forward and cannot resume two-ended nodes");
     if (sp.lb < initial_ub) {
-      live.push_back(NodeRef{sp.lb, sp.depth, sh.arena.adopt(sp, main_lane)});
+      live.push_back(NodeRef{sp.lb, core::pack_ends(sp.depth, sp.tail),
+                             sh.arena.adopt(sp, main_lane)});
     } else {
       const LockGuard lock(sh.stats_mu);
       ++sh.stats.pruned;
@@ -395,7 +422,7 @@ core::SolveResult run(const fsp::Instance& inst,
         });
       } else {
         workers.emplace_back([&inst, &data, &sh, i] {
-          worker(inst, data, sh, i, fsp::Lb1BoundContext(inst, data));
+          worker(inst, data, sh, i, fsp::Lb1BidirContext(inst, data));
         });
       }
     }

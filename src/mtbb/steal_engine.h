@@ -28,10 +28,12 @@
 
 namespace fsbb::mtbb {
 
-/// Which lower bound the workers compute per child, both through the
-/// incremental sibling contexts (fsp::Lb1BoundContext /
-/// fsp::Lb2BoundContext): one set_parent per popped node, one O(m) front
-/// extension plus a compacted Johnson sweep per child.
+/// Which lower bound the workers compute per child, both through
+/// incremental sibling contexts: one set_parent per popped node, one O(m)
+/// front extension plus compacted Johnson sweeps per child. LB1 branches
+/// bidirectionally (fsp::Lb1BidirContext bounds both ends' children and
+/// core::choose_branch_end keeps one end, as BBEngine's bidirectional
+/// mode does); LB2 branches forward (fsp::Lb2BoundContext is prefix-only).
 enum class MtBound {
   kLb1,
   kLb2,

@@ -227,7 +227,7 @@ Client::Action Client::handle_line(const std::string& line) {
   try {
     request = JsonValue::parse(line);
   } catch (const std::exception& e) {
-    protocol_error(e.what());
+    protocol_error(user_message(e));
     return Action::kContinue;
   }
   const std::string op = request.string_or("op", "");
@@ -436,6 +436,16 @@ void Client::submit(const JsonValue& request) {
         server.metrics().record_completion("error", false,
                                            core::StopReason::kCanceled,
                                            latency_ms, 0);
+        // The client gets the message only; the full diagnostic is logged.
+        try {
+          if (final_outcome.exception) {
+            std::rethrow_exception(final_outcome.exception);
+          }
+        } catch (const std::exception& e) {
+          std::cerr << "fsbb_serve: job '" << id << "' failed: " << e.what()
+                    << "\n";
+        } catch (...) {
+        }
       }
       server.admission().release(tenant);
       {
@@ -475,7 +485,10 @@ void Client::submit(const JsonValue& request) {
     emit(o.done());
   } catch (const std::exception& e) {
     if (quota_charged) server_.admission().release(charged_tenant);
-    reject(id, e.what());
+    // The client gets the message; the full diagnostic (failed expression,
+    // source location) stays in the server log.
+    std::cerr << "fsbb_serve: rejected '" << id << "': " << e.what() << "\n";
+    reject(id, user_message(e));
   }
 }
 

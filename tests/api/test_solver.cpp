@@ -49,7 +49,7 @@ TEST(SolverConfig, EveryFieldRoundTripsThroughCli) {
   original.device = "c1060";
   original.initial_ub = 4321;
   original.node_budget = 99999;
-  original.time_limit_seconds = 1.5;
+  original.deadline_ms = 1500;
   original.instance.ta_id = 0;
   original.instance.jobs = 12;
   original.instance.machines = 7;
@@ -59,6 +59,17 @@ TEST(SolverConfig, EveryFieldRoundTripsThroughCli) {
   const SolverConfig reparsed = SolverConfig::from_cli(
       parse_tokens(original.to_cli()));
   EXPECT_EQ(reparsed, original);
+}
+
+TEST(SolverConfig, RetiredTimeLimitFlagNamesTheDeadline) {
+  try {
+    SolverConfig::from_cli(parse_tokens({"--time-limit", "30"}));
+    FAIL() << "expected CheckFailure";
+  } catch (const CheckFailure& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--time-limit"), std::string::npos) << what;
+    EXPECT_NE(what.find("--deadline-ms"), std::string::npos) << what;
+  }
 }
 
 TEST(SolverConfig, FromCliParsesIndividualFlags) {

@@ -182,5 +182,65 @@ TEST(Engine, BatchSizeDoesNotChangeTheOptimum) {
   }
 }
 
+class BidirectionalEngineVsBruteForce
+    : public ::testing::TestWithParam<EngineCase> {};
+
+TEST_P(BidirectionalEngineVsBruteForce, FindsTheOptimum) {
+  const auto [seed, strategy, batch] = GetParam();
+  const fsp::Instance inst =
+      random_instance(8, 3 + seed % 4, static_cast<std::uint64_t>(seed) + 500);
+  const auto data = fsp::LowerBoundData::build(inst);
+  const auto opt = fsp::brute_force(inst);
+
+  SerialCpuEvaluator eval(inst, data);
+  EngineOptions options;
+  options.strategy = strategy;
+  options.batch_size = static_cast<std::size_t>(batch);
+  options.branching = Branching::kBidirectional;
+  options.initial_ub = inst.total_work();  // a real search, not NEH's
+  BBEngine engine(inst, data, eval, options);
+  const SolveResult result = engine.solve();
+
+  EXPECT_TRUE(result.proven_optimal);
+  EXPECT_EQ(result.best_makespan, opt.makespan);
+  ASSERT_FALSE(result.best_permutation.empty());
+  EXPECT_EQ(fsp::makespan(inst, result.best_permutation), opt.makespan);
+  // Every branched node with two free jobs or more bounds both ends'
+  // children and keeps one end's.
+  EXPECT_EQ(result.stats.evaluated,
+            2 * (result.stats.generated - result.stats.leaves));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, BidirectionalEngineVsBruteForce,
+    ::testing::Combine(::testing::Range(0, 8),
+                       ::testing::Values(SelectionStrategy::kDepthFirst,
+                                         SelectionStrategy::kBestFirst),
+                       ::testing::Values(1, 16)));
+
+TEST(Engine, BidirectionalBranchingNeedsAHostSiblingEvaluator) {
+  const fsp::Instance inst = random_instance(6, 3, 8);
+  const auto data = fsp::LowerBoundData::build(inst);
+  CallbackEvaluator eval("lb1-callback", [&](const Subproblem& sp) {
+    return fsp::lb1_from_prefix(inst, data, sp.prefix());
+  });
+  EngineOptions options;
+  options.branching = Branching::kBidirectional;
+  BBEngine engine(inst, data, eval, options);
+  EXPECT_THROW(engine.solve(), CheckFailure);
+}
+
+TEST(Engine, ForwardBranchingRefusesTwoEndedNodes) {
+  const fsp::Instance inst = random_instance(6, 3, 9);
+  const auto data = fsp::LowerBoundData::build(inst);
+  SerialCpuEvaluator eval(inst, data);
+  Subproblem node = Subproblem::root(inst.jobs());
+  node.depth = 1;
+  node.tail = 1;
+  node.lb = 1;
+  BBEngine engine(inst, data, eval, EngineOptions{});
+  EXPECT_THROW(engine.solve_from({node}, inst.total_work()), CheckFailure);
+}
+
 }  // namespace
 }  // namespace fsbb::core

@@ -1,9 +1,10 @@
-// Stopping-condition coverage: time limits, combined limits, and the
+// Stopping-condition coverage: the deadline, combined limits, and the
 // DFS strategy under budgets (the best-first paths are covered in
 // test_engine.cpp).
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
+#include "core/search_control.h"
 #include "fsp/brute_force.h"
 #include "fsp/generators.h"
 
@@ -20,13 +21,16 @@ TEST(EngineLimits, TimeLimitStopsTheSearch) {
   const fsp::Instance inst = hard_instance(3);
   const auto data = fsp::LowerBoundData::build(inst);
   SerialCpuEvaluator eval(inst, data);
+  SearchControl control;
+  control.set_deadline_after(0.05);
   EngineOptions options;
   options.initial_ub = inst.total_work();
-  options.time_limit_seconds = 0.05;
+  options.control = &control;
   options.collect_pool_on_stop = true;
   BBEngine engine(inst, data, eval, options);
   const SolveResult result = engine.solve();
   EXPECT_FALSE(result.proven_optimal);
+  EXPECT_EQ(result.stop_reason, StopReason::kDeadline);
   EXPECT_FALSE(result.remaining_pool.empty());
   // Generous ceiling: the limit plus scheduling noise.
   EXPECT_LT(result.stats.wall_seconds, 2.0);
@@ -48,10 +52,12 @@ TEST(EngineLimits, NodeBudgetWinsWhenTighterThanTime) {
   const fsp::Instance inst = hard_instance(4);
   const auto data = fsp::LowerBoundData::build(inst);
   SerialCpuEvaluator eval(inst, data);
+  SearchControl control;
+  control.set_deadline_after(3600);
   EngineOptions options;
   options.initial_ub = inst.total_work();
   options.node_budget = 3;
-  options.time_limit_seconds = 3600;
+  options.control = &control;
   BBEngine engine(inst, data, eval, options);
   const SolveResult result = engine.solve();
   EXPECT_FALSE(result.proven_optimal);

@@ -192,6 +192,69 @@ TEST_P(ThreadedSiblingsMatchSerial, IdenticalBoundsForAnyThreadCount) {
 INSTANTIATE_TEST_SUITE_P(Threads, ThreadedSiblingsMatchSerial,
                          ::testing::Values(1, 2, 3, 8));
 
+TEST(SiblingSeam, BidirectionalBatchesMatchTheTwoSidedContext) {
+  // A bidirectional batch returns the head children's bounds, then the
+  // tail children's, exactly as Lb1BidirContext computes them — on the
+  // serial evaluator and on every thread count of the threaded one.
+  const fsp::Instance inst = fsp::taillard_instance(21);
+  const auto data = fsp::LowerBoundData::build(inst);
+  SplitMix64 rng(77);
+  std::vector<Subproblem> parents;
+  for (int i = 0; i < 16; ++i) {
+    Subproblem sp = Subproblem::root(inst.jobs());
+    shuffle(sp.perm, rng);
+    sp.depth = static_cast<std::int32_t>(rng.next_below(8));
+    sp.tail = static_cast<std::int32_t>(rng.next_below(8));
+    parents.push_back(std::move(sp));
+  }
+  const auto run = [&](BoundEvaluator& eval) {
+    std::vector<std::vector<fsp::Time>> bounds;
+    for (const Subproblem& p : parents) {
+      bounds.emplace_back(2 * static_cast<std::size_t>(p.remaining()));
+    }
+    std::vector<SiblingBatch> groups;
+    for (std::size_t g = 0; g < parents.size(); ++g) {
+      groups.push_back(SiblingBatch{parents[g].prefix(),
+                                    parents[g].free_jobs(), bounds[g],
+                                    parents[g].suffix(),
+                                    Branching::kBidirectional});
+    }
+    eval.evaluate_siblings(groups);
+    return bounds;
+  };
+
+  fsp::Lb1BidirContext ctx(inst, data);
+  std::vector<std::vector<fsp::Time>> expected;
+  for (const Subproblem& p : parents) {
+    ctx.set_parent(p.prefix(), p.suffix());
+    std::vector<fsp::Time> b;
+    for (const JobId job : p.free_jobs()) b.push_back(ctx.bound_head_child(job));
+    for (const JobId job : p.free_jobs()) b.push_back(ctx.bound_tail_child(job));
+    expected.push_back(std::move(b));
+  }
+  SerialCpuEvaluator serial(inst, data);
+  EXPECT_EQ(run(serial), expected);
+  for (const std::size_t threads : {1, 3}) {
+    ThreadedCpuEvaluator threaded(inst, data, threads);
+    EXPECT_EQ(run(threaded), expected) << threads << " threads";
+  }
+}
+
+TEST(SiblingSeam, ForwardOnlyEvaluatorsRefuseBidirectionalBatches) {
+  const fsp::Instance inst = fsp::taillard_instance(1);
+  const auto data = fsp::LowerBoundData::build(inst);
+  CallbackEvaluator callback("lb1-callback", [&](const Subproblem& sp) {
+    return fsp::lb1_from_prefix(inst, data, sp.prefix());
+  });
+  SerialCpuEvaluator lb2(inst, data, fsp::Lb2Data::build(inst));
+  const Subproblem root = Subproblem::root(inst.jobs());
+  std::vector<fsp::Time> bounds(2 * static_cast<std::size_t>(inst.jobs()));
+  const SiblingBatch group{root.prefix(), root.free_jobs(), bounds,
+                           root.suffix(), Branching::kBidirectional};
+  EXPECT_THROW(callback.evaluate_siblings({&group, 1}), CheckFailure);
+  EXPECT_THROW(lb2.evaluate_siblings({&group, 1}), CheckFailure);
+}
+
 TEST(SiblingSeam, LedgerCountsSiblingNodes) {
   const fsp::Instance inst = fsp::taillard_instance(1);
   const auto data = fsp::LowerBoundData::build(inst);

@@ -89,6 +89,36 @@ TEST(PoolIo, RejectsCorruptInputs) {
   }
 }
 
+TEST(PoolIo, TwoEndedNodesRoundTripAndVersionOneReadsAsForward) {
+  FrozenPool pool;
+  pool.incumbent = 99;
+  Subproblem sp = Subproblem::root(5);
+  sp.depth = 2;
+  sp.tail = 1;
+  sp.lb = 42;
+  pool.nodes.push_back(sp);
+  const FrozenPool loaded =
+      read_frozen_pool_string(write_frozen_pool_string(pool), "test");
+  ASSERT_EQ(loaded.nodes.size(), 1u);
+  EXPECT_EQ(loaded.nodes[0].depth, 2);
+  EXPECT_EQ(loaded.nodes[0].tail, 1);
+  EXPECT_EQ(loaded.nodes[0].lb, 42);
+  EXPECT_EQ(loaded.nodes[0].perm, sp.perm);
+
+  // Checkpoints written before two-ended nodes existed load as tail 0.
+  const FrozenPool old_format =
+      read_frozen_pool_string("fsbb-frozen-pool 1\n3 1 100\n1 2 0 1 50\n");
+  ASSERT_EQ(old_format.nodes.size(), 1u);
+  EXPECT_EQ(old_format.nodes[0].depth, 1);
+  EXPECT_EQ(old_format.nodes[0].tail, 0);
+  EXPECT_EQ(old_format.nodes[0].lb, 50);
+
+  // A tail overlapping the head is corrupt.
+  EXPECT_THROW(
+      read_frozen_pool_string("fsbb-frozen-pool 2\n3 1 100\n2 2 0 1 2 50\n"),
+      CheckFailure);
+}
+
 TEST(PoolIo, RefusesEmptyPools) {
   FrozenPool empty;
   std::stringstream ss;

@@ -10,6 +10,11 @@
 // deterministic in its index.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "api/backend_registry.h"
 #include "api/solver.h"
 #include "common/rng.h"
@@ -33,6 +38,28 @@ constexpr fsp::InstanceFamily kFamilies[] = {
     fsp::InstanceFamily::kMachineCorrelated, fsp::InstanceFamily::kTrend,
     fsp::InstanceFamily::kTwoPlateaus,
 };
+
+/// The forward-branching host reference: BBEngine over SerialCpuEvaluator
+/// (or ThreadedCpuEvaluator) with forward options. The registry's
+/// cpu-serial and cpu-threads branch at both ends of the permutation; the
+/// device lanes and the callback backend still branch forward, so their
+/// counter-for-counter comparisons run against this engine instead.
+core::SolveResult forward_host(const fsp::Instance& inst,
+                               core::SelectionStrategy strategy,
+                               std::size_t batch, std::size_t threads = 0) {
+  const auto data = fsp::LowerBoundData::build(inst);
+  std::unique_ptr<core::BoundEvaluator> eval;
+  if (threads == 0) {
+    eval = std::make_unique<core::SerialCpuEvaluator>(inst, data);
+  } else {
+    eval = std::make_unique<core::ThreadedCpuEvaluator>(inst, data, threads);
+  }
+  core::EngineOptions o;
+  o.strategy = strategy;
+  o.batch_size = batch;
+  core::BBEngine engine(inst, data, *eval, o);
+  return engine.solve();
+}
 
 class DifferentialFuzz : public ::testing::TestWithParam<int> {};
 
@@ -84,9 +111,10 @@ INSTANTIATE_TEST_SUITE_P(Shards, DifferentialFuzz,
 // The incremental sibling-batch seam (Lb1BoundContext through
 // evaluate_siblings) against the prefix-replay path (CallbackEvaluator,
 // which takes the default flat-batch fallback): same engine, same batch
-// size, so not just the optimum but the *entire search* — every counter
-// of every operator — must be bit-identical. A single off-by-one bound
-// would branch a different tree and show up in `generated`/`pruned`.
+// size, forward branching on both sides, so not just the optimum but the
+// *entire search* — every counter of every operator — must be
+// bit-identical. A single off-by-one bound would branch a different tree
+// and show up in `generated`/`pruned`.
 class SeamVsReplayFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(SeamVsReplayFuzz, SearchCountersAreBitIdentical) {
@@ -108,18 +136,17 @@ TEST_P(SeamVsReplayFuzz, SearchCountersAreBitIdentical) {
                               std::to_string(machines) + " seed " +
                               std::to_string(seed);
 
-    // cpu-serial and cpu-threads cover both sibling-capable evaluators;
-    // callback with the same batch size is the replay reference.
+    // The serial and the threaded evaluator cover both sibling-capable
+    // evaluators; callback with the same batch size is the replay
+    // reference.
     for (const std::size_t batch : {std::size_t{1}, std::size_t{64}}) {
-      api::SolverConfig seam;
-      seam.backend = batch == 1 ? "cpu-serial" : "cpu-threads";
-      seam.threads = 3;
-      seam.batch_size = batch;
       api::SolverConfig replay;
       replay.backend = "callback";
       replay.batch_size = batch;
 
-      const api::SolveReport a = api::Solver(seam).solve(inst);
+      const core::SolveResult a =
+          forward_host(inst, core::SelectionStrategy::kBestFirst, batch,
+                       batch == 1 ? 0 : 3);
       const api::SolveReport b = api::Solver(replay).solve(inst);
       ASSERT_EQ(a.best_makespan, b.best_makespan) << label;
       ASSERT_EQ(a.proven_optimal, b.proven_optimal) << label;
@@ -163,10 +190,9 @@ TEST_P(GpuResidentVsSerialFuzz, SearchCountersAreBitIdentical) {
                               std::to_string(machines) + " seed " +
                               std::to_string(seed);
 
-    api::SolverConfig serial;
-    serial.backend = "cpu-serial";
-    serial.batch_size = 64;  // same offload shape on both sides
-    const api::SolveReport reference = api::Solver(serial).solve(inst);
+    // Same offload shape on both sides.
+    const core::SolveResult reference =
+        forward_host(inst, core::SelectionStrategy::kBestFirst, 64);
 
     for (const std::string backend : {"gpu-sim", "adaptive"}) {
       api::SolverConfig gpu;
@@ -235,11 +261,9 @@ TEST_P(GpuDfsVsSerialFuzz, SearchCountersAreBitIdentical) {
                               std::to_string(machines) + " seed " +
                               std::to_string(seed);
 
-    api::SolverConfig serial;
-    serial.backend = "cpu-serial";
-    serial.strategy = core::SelectionStrategy::kDepthFirst;
-    serial.batch_size = 1;  // the order the kernel lanes replay
-    const api::SolveReport reference = api::Solver(serial).solve(inst);
+    // Batch 1: the order the kernel lanes replay.
+    const core::SolveResult reference =
+        forward_host(inst, core::SelectionStrategy::kDepthFirst, 1);
 
     api::SolverConfig gpu;
     gpu.backend = "gpu-sim";
@@ -292,10 +316,9 @@ TEST_P(MultiDeviceVsSerialFuzz, SearchCountersAreBitIdentical) {
                               std::to_string(machines) + " seed " +
                               std::to_string(seed);
 
-    api::SolverConfig serial;
-    serial.backend = "cpu-serial";
-    serial.batch_size = 64;  // same offload shape on both sides
-    const api::SolveReport reference = api::Solver(serial).solve(inst);
+    // Same offload shape on both sides.
+    const core::SolveResult reference =
+        forward_host(inst, core::SelectionStrategy::kBestFirst, 64);
 
     // Device layouts under test: homogeneous pair, heterogeneous mix.
     for (const char* devices : {"2", "2:c2050,c1060"}) {
@@ -433,6 +456,72 @@ TEST(MultiDeviceVsSerialRebalance, RebalancedSearchStaysBitIdentical) {
   EXPECT_EQ(allocated + result.pool->overflow,
             result.stats.evaluated + result.pool->rebalanced);
 }
+
+// Bidirectional branching across the host engines: from a fixed incumbent
+// (the brute-force optimum, which no schedule beats) the end choice
+// depends only on the node, so cpu-serial (batch 1), cpu-threads
+// (batch 64) and cpu-steal at 1, 2, 4 and 8 workers grow exactly the same
+// two-ended tree in whatever order they explore it: every operator counter
+// must agree.
+class BidirectionalHostFuzz : public ::testing::TestWithParam<int> {};
+
+TEST_P(BidirectionalHostFuzz, FixedIncumbentTreesAreIdentical) {
+  const core::audit::ScopedEnable audited;
+  const int shard = GetParam();
+  SplitMix64 rng(0xB1D1u * 1000003u + static_cast<std::uint64_t>(shard));
+  for (int i = 0; i < 5; ++i) {
+    const auto family = kFamilies[rng.next_below(std::size(kFamilies))];
+    const int jobs = static_cast<int>(rng.next_in(6, 10));
+    const int machines = static_cast<int>(rng.next_in(2, 10));
+    const std::uint64_t seed = rng.next();
+    const fsp::Instance inst =
+        fsp::make_instance(family, jobs, machines, seed);
+    const std::string label = std::string(fsp::to_string(family)) + " " +
+                              std::to_string(jobs) + "x" +
+                              std::to_string(machines) + " seed " +
+                              std::to_string(seed);
+    const fsp::Time optimum = fsp::brute_force(inst).makespan;
+
+    const auto solve = [&](const char* backend, std::size_t threads) {
+      api::SolverConfig config;
+      config.backend = backend;
+      config.threads = threads;
+      config.initial_ub = optimum;
+      return api::Solver(config).solve(inst);
+    };
+    const api::SolveReport reference = solve("cpu-serial", 1);
+    ASSERT_TRUE(reference.proven_optimal) << label;
+    // Both ends are bounded at every branched node with two children or
+    // more: two bounds per generated non-leaf child.
+    ASSERT_EQ(reference.stats.evaluated,
+              2 * (reference.stats.generated - reference.stats.leaves))
+        << label;
+
+    std::vector<std::pair<std::string, api::SolveReport>> runs;
+    runs.emplace_back("cpu-threads", solve("cpu-threads", 3));
+    for (const std::size_t threads : {1, 2, 4, 8}) {
+      runs.emplace_back("cpu-steal x" + std::to_string(threads),
+                        solve("cpu-steal", threads));
+    }
+    for (const auto& [name, report] : runs) {
+      EXPECT_TRUE(report.proven_optimal) << name << " on " << label;
+      EXPECT_EQ(report.best_makespan, optimum) << name << " on " << label;
+      EXPECT_EQ(report.stats.branched, reference.stats.branched)
+          << name << " on " << label;
+      EXPECT_EQ(report.stats.generated, reference.stats.generated)
+          << name << " on " << label;
+      EXPECT_EQ(report.stats.evaluated, reference.stats.evaluated)
+          << name << " on " << label;
+      EXPECT_EQ(report.stats.pruned, reference.stats.pruned)
+          << name << " on " << label;
+      EXPECT_EQ(report.stats.leaves, reference.stats.leaves)
+          << name << " on " << label;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, BidirectionalHostFuzz,
+                         ::testing::Range(0, 4));
 
 // cpu-steal's LB2 plumbing (per-worker Lb2Scratch): the work-stealing
 // engine under --bound lb2 must prove the same optimum as the serial LB2

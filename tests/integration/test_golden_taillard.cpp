@@ -15,8 +15,17 @@
 //                    pinned below) must be re-proven by the serial engine
 //                    under both bounds and by the work-stealing engine, so
 //                    a bound or engine regression fails loudly instead of
-//                    silently exploring more nodes.
+//                    silently exploring more nodes;
+//   4. full proofs — bidirectional branching proves the full instances
+//                    from NEH in well under a second each (ta005, the
+//                    hardest, branches ~23k nodes serially): cpu-serial,
+//                    cpu-threads and cpu-steal at 2 and 4 workers must all
+//                    prove the published optimum under a deadline, and
+//                    cpu-serial's tree size is pinned.
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <string>
 
 #include "api/solver.h"
 #include "core/subproblem.h"
@@ -44,6 +53,12 @@ constexpr GoldenTa kGolden[] = {
     {5, 1235, 807}, {6, 1195, 826}, {7, 1234, 855}, {8, 1206, 777},
     {9, 1230, 810}, {10, 1108, 817},
 };
+
+// cpu-serial's branched nodes proving ta001–ta010 from the NEH incumbent
+// with bidirectional best-first branching (deterministic: one thread,
+// fixed tie-breaks), indexed by ta_id - 1.
+constexpr std::uint64_t kSerialBranchedFromNeh[] = {35, 26, 40, 66, 16758,
+                                                    37, 24, 40, 54, 105};
 
 fsp::Instance first_jobs(const fsp::Instance& full, int keep) {
   Matrix<fsp::Time> pt(static_cast<std::size_t>(keep),
@@ -119,6 +134,36 @@ TEST_P(GoldenTaillard, Sub12OptimaAreReprovenByEveryEngine) {
     const api::SolveReport report = api::Solver(config).solve(sub);
     EXPECT_TRUE(report.proven_optimal) << "cpu-steal";
     EXPECT_EQ(report.best_makespan, golden.sub12_optimum) << "cpu-steal";
+  }
+}
+
+TEST_P(GoldenTaillard, FullInstancesAreProvenFromNehByEveryHostEngine) {
+  const GoldenTa golden = GetParam();
+  const fsp::Instance inst = fsp::taillard_instance(golden.ta_id);
+  struct Run {
+    const char* backend;
+    std::size_t threads;
+  };
+  for (const Run run : {Run{"cpu-serial", 1}, Run{"cpu-threads", 2},
+                        Run{"cpu-steal", 2}, Run{"cpu-steal", 4}}) {
+    api::SolverConfig config;
+    config.backend = run.backend;
+    config.threads = run.threads;
+    config.deadline_ms = 20000;  // a hang fails instead of stalling CI
+    const api::SolveReport report = api::Solver(config).solve(inst);
+    const std::string label =
+        std::string(run.backend) + " x" + std::to_string(run.threads);
+    EXPECT_TRUE(report.proven_optimal) << label;
+    EXPECT_EQ(report.stop_reason, core::StopReason::kOptimal) << label;
+    EXPECT_EQ(report.best_makespan, golden.optimum) << label;
+    ASSERT_FALSE(report.best_permutation.empty()) << label;
+    EXPECT_EQ(fsp::makespan(inst, report.best_permutation), golden.optimum)
+        << label;
+    if (std::string(run.backend) == "cpu-serial") {
+      EXPECT_EQ(report.stats.branched,
+                kSerialBranchedFromNeh[golden.ta_id - 1])
+          << label;
+    }
   }
 }
 

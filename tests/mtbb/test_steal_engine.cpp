@@ -5,6 +5,7 @@
 #include <tuple>
 
 #include "common/rng.h"
+#include "core/evaluator.h"
 #include "core/protocol.h"
 #include "fsp/brute_force.h"
 #include "fsp/makespan.h"
@@ -118,8 +119,10 @@ TEST(StealEngine, StatsAccumulateAcrossWorkers) {
   const core::SolveResult result = steal_solve(inst, data, options);
   EXPECT_GT(result.stats.branched, 0u);
   EXPECT_GE(result.stats.generated, result.stats.branched);
-  EXPECT_EQ(result.stats.generated,
-            result.stats.evaluated + result.stats.leaves);
+  // LB1 workers branch bidirectionally: both ends' children are bounded,
+  // one end's are generated.
+  EXPECT_EQ(result.stats.evaluated,
+            2 * (result.stats.generated - result.stats.leaves));
 }
 
 TEST(StealEngine, BoundingSecondsIsAMeasuredShareOfWall) {
@@ -139,9 +142,10 @@ TEST(StealEngine, MultiWorkerRunsActuallySteal) {
   // With one root node and several workers, everyone but the starter must
   // acquire its first node by stealing; the merged stats must show it.
   // (The engine's start barrier makes this deterministic enough: thieves
-  // exist before the root is branched, and the weak incumbent guarantees
-  // a tree far larger than one worker clears before they probe.)
-  const fsp::Instance inst = random_instance(11, 5, 5);
+  // exist before the root is branched, and the weak incumbent gives a
+  // tree far larger than one worker clears before they probe: about 1,500
+  // bidirectional nodes, 25 ms on one worker.)
+  const fsp::Instance inst = random_instance(12, 10, 6);
   const auto data = fsp::LowerBoundData::build(inst);
   MtOptions options;
   options.threads = 4;
@@ -152,6 +156,72 @@ TEST(StealEngine, MultiWorkerRunsActuallySteal) {
   EXPECT_GT(result.steal->nodes_stolen, 0u);
   EXPECT_GE(result.steal->steal_attempts, result.steal->steal_successes);
   EXPECT_GE(result.steal->nodes_stolen, result.steal->steal_successes);
+}
+
+TEST(StealEngine, BidirectionalTreeEqualsTheSerialEngineFromTheOptimum) {
+  // From the optimum the end choice depends only on the node, so every
+  // worker count grows BBEngine's bidirectional tree exactly.
+  for (std::uint64_t seed = 30; seed < 34; ++seed) {
+    const fsp::Instance inst = random_instance(10, 6, seed);
+    const auto data = fsp::LowerBoundData::build(inst);
+    core::SerialCpuEvaluator eval(inst, data);
+    // The forward engine's proven optimum: a reference independent of the
+    // branching rule under test.
+    const fsp::Time optimum =
+        core::BBEngine(inst, data, eval, core::EngineOptions{})
+            .solve()
+            .best_makespan;
+    core::EngineOptions eo;
+    eo.initial_ub = optimum;
+    eo.branching = core::Branching::kBidirectional;
+    const core::SolveResult serial = core::BBEngine(inst, data, eval, eo).solve();
+    for (const std::size_t threads : {1, 4}) {
+      MtOptions options;
+      options.threads = threads;
+      options.initial_ub = optimum;
+      const core::SolveResult r = steal_solve(inst, data, options);
+      EXPECT_TRUE(r.proven_optimal) << "seed " << seed;
+      EXPECT_EQ(r.stats.branched, serial.stats.branched) << "seed " << seed;
+      EXPECT_EQ(r.stats.evaluated, serial.stats.evaluated) << "seed " << seed;
+      EXPECT_EQ(r.stats.pruned, serial.stats.pruned) << "seed " << seed;
+    }
+  }
+}
+
+TEST(StealEngine, BidirectionalSolveFromTwoEndedNodesFindsTheOptimum) {
+  // A checkpoint of a bidirectional search holds two-ended nodes; resuming
+  // it must still prove the optimum, and forward (LB2) branching refuses
+  // it.
+  const fsp::Instance inst = random_instance(9, 4, 41);
+  const auto data = fsp::LowerBoundData::build(inst);
+  core::SerialCpuEvaluator eval(inst, data);
+  // From NEH (not a weak incumbent, under which no end prunes a child and
+  // the head is kept), the first expansions already branch some tails.
+  core::EngineOptions eo;
+  eo.branching = core::Branching::kBidirectional;
+  eo.node_budget = 6;
+  eo.collect_pool_on_stop = true;
+  const core::SolveResult partial =
+      core::BBEngine(inst, data, eval, eo).solve();
+  ASSERT_FALSE(partial.remaining_pool.empty());
+  bool two_ended = false;
+  for (const core::Subproblem& sp : partial.remaining_pool) {
+    two_ended = two_ended || sp.tail > 0;
+  }
+  ASSERT_TRUE(two_ended) << "the budget no longer reaches a tail branch";
+
+  MtOptions options;
+  options.threads = 3;
+  const core::SolveResult r = steal_solve_from(
+      inst, data, partial.remaining_pool, partial.best_makespan, options);
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(std::min(r.best_makespan, partial.best_makespan),
+            fsp::brute_force(inst).makespan);
+
+  options.bound = MtBound::kLb2;
+  EXPECT_THROW(steal_solve_from(inst, data, partial.remaining_pool,
+                                partial.best_makespan, options),
+               CheckFailure);
 }
 
 TEST(StealEngine, SingleThreadStealsNothing) {

@@ -108,6 +108,44 @@ TEST(ServeClient, SubmitValidationRejectsWithReasons) {
   EXPECT_EQ(server.admission().active_jobs("anonymous"), 0u);
 }
 
+TEST(ServeClient, RejectionsCarryTheMessageWithoutBuildInternals) {
+  // A rejection tells the client what to fix; the failed C++ expression
+  // and the source location stay in the server log.
+  Server server(small_options());
+  LineCollector out;
+  auto client = std::make_shared<Client>(server, out.sink());
+  client->handle_line(R"({"op":"submit","id":"a","cli":"--backend warp"})");
+  const JsonValue event = JsonValue::parse(out.wait_for("\"rejected\""));
+  const std::string error = event.string_or("error", "");
+  EXPECT_NE(error.find("unknown backend 'warp' (registered: "),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(error.find("check failed"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".cpp"), std::string::npos) << error;
+  EXPECT_EQ(error.find('/'), std::string::npos) << error;
+}
+
+TEST(ServeClient, SolveTimeFailuresCarryTheMessageWithoutBuildInternals) {
+  // This combination passes validation and backend creation and fails
+  // only when the engine starts: the result event must still carry the
+  // message alone.
+  Server server(small_options());
+  LineCollector out;
+  auto client = std::make_shared<Client>(server, out.sink());
+  client->handle_line(
+      R"({"op":"submit","id":"d","cli":"--jobs 6 --machines 3 )"
+      R"(--backend gpu-sim --gpu-pool dfs"})");
+  const JsonValue result =
+      JsonValue::parse(out.wait_for("\"event\":\"result\""));
+  EXPECT_FALSE(result.bool_or("ok", true));
+  const std::string error = result.string_or("error", "");
+  EXPECT_NE(error.find("--strategy depth-first"), std::string::npos) << error;
+  EXPECT_EQ(error.find("check failed"), std::string::npos) << error;
+  EXPECT_EQ(error.find(".cpp"), std::string::npos) << error;
+  EXPECT_EQ(error.find('/'), std::string::npos) << error;
+  client->drain();
+}
+
 TEST(ServeClient, OversizedLineAnswersStructuredError) {
   Server server(small_options());
   LineCollector out;
